@@ -33,8 +33,7 @@ a pair of opposite rows and each upper bound as a unit row.
 Exit codes: 0 success, 2 infeasible, 3 unbounded, 4 parse or usage
 error; --brute-force turns a MISMATCH verdict into exit 1.  Reports are
 "key: value" lines (or --format json) in a fixed order with rationals
-printed exactly as p/q.  Output is byte-identical for a given input
-whatever --jobs says; --timing writes to stderr so stdout stays
+printed exactly as p/q.  --timing writes to stderr so stdout stays
 reproducible.
 """
 
@@ -45,11 +44,9 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 from .convexmax import (
     CompositeObjective,
@@ -57,15 +54,7 @@ from .convexmax import (
     lip_oracle,
     maximize_composite,
 )
-from .core import (
-    LPProblem,
-    clear_denominators,
-    dot,
-    format_rat,
-    parse_rat,
-    solve_lp,
-    vneg,
-)
+from .core import clear_denominators, dot, format_rat, parse_rat, vneg
 from .fptas import SparsePolynomial, maximize
 from .genfunc import polyhedron_gf, specialize_at_one
 from .graver import (
@@ -84,7 +73,13 @@ from .indepsys import (
     r_bound,
 )
 from .polyhedra import Polyhedron, bounding_box, is_bounded, is_empty
-from .polyrelax import build_lifted, check_condition, project_with_pi_leq_0
+from .polyrelax import (
+    _box_points,
+    _cloud_minimum,
+    build_lifted,
+    check_condition,
+    project_with_pi_leq_0,
+)
 
 _SECTION_NAMES = ("POLYTOPE", "POLY", "NFOLD", "OBJECTIVE", "INDEP",
                   "WEIGHTS", "TUPLE")
@@ -125,8 +120,8 @@ def _int_tok(tok: str, lineno: int) -> int:
 
 @dataclass(frozen=True)
 class Origin:
-    """Source line numbers for diagnostics.  Excluded from equality so
-    parse(dumps(p)) == p although serialization moves every line."""
+    """Source line numbers for diagnostics.  Excluded from equality:
+    two files stating the same problem parse to equal ProblemFiles."""
 
     sections: tuple[tuple[str, int], ...] = ()
     polytope_rows: tuple[int, ...] = ()
@@ -359,66 +354,6 @@ def parse_problem(text: str) -> ProblemFile:
                       objective_terms=term_lines))
 
 
-def _format_term(term) -> str:
-    kind, payload = term
-    if kind in ("sq", "abs"):
-        return f"{kind} {format_rat(payload)}"
-    if kind == "pwl":
-        flat = [x for pair in payload for x in pair]
-        return "pwl " + " ".join(format_rat(x) for x in flat)
-    return "tab " + " ".join(format_rat(v) for v in payload)
-
-
-def dumps_problem(pf: ProblemFile) -> str:
-    out: list[str] = []
-    if pf.polytope is not None:
-        out.append("POLYTOPE")
-        for a, beta in zip(pf.polytope.A, pf.polytope.b):
-            out.append(" ".join(format_rat(x) for x in a)
-                       + " <= " + format_rat(beta))
-        out.append("")
-    if pf.poly is not None:
-        out.append("POLY")
-        monomials = pf.poly.monomials or \
-            ((Fraction(0), (0,) * pf.poly.dimension),)
-        for c, e in monomials:
-            out.append(format_rat(c) + " " + " ".join(str(x) for x in e))
-        out.append("")
-    if pf.nfold is not None:
-        out.append("NFOLD")
-        out.append("A1")
-        for row in pf.nfold.A1:
-            out.append(" ".join(str(x) for x in row))
-        out.append("A2")
-        for row in pf.nfold.A2:
-            out.append(" ".join(str(x) for x in row))
-        out.append(f"n {pf.nfold.n}")
-        out.append("b " + " ".join(str(x) for x in pf.nfold.b))
-        out.append("")
-    if pf.objective is not None:
-        out.append("OBJECTIVE")
-        for term in pf.objective:
-            out.append(_format_term(term))
-        out.append("")
-    if pf.indep is not None:
-        out.append("INDEP")
-        for g in pf.indep:
-            out.append("".join(str(x) for x in g))
-        out.append("")
-    if pf.weights is not None:
-        out.append("WEIGHTS")
-        for row in pf.weights:
-            out.append(" ".join(str(x) for x in row))
-        out.append("")
-    if pf.tuple_a is not None:
-        out.append("TUPLE")
-        out.append(" ".join(str(x) for x in pf.tuple_a))
-        out.append("")
-    while out and not out[-1]:
-        out.pop()
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -465,16 +400,6 @@ def emit(report, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, `jobs` threads when asked.  Results merge
-    in input order, so output never depends on scheduling."""
-    seq = list(items)
-    if jobs <= 1 or len(seq) < 2:
-        return [fn(it) for it in seq]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, seq))
-
-
 def _require(pf: ProblemFile, attr: str, section: str, command: str):
     value = getattr(pf, attr)
     if value is None:
@@ -489,10 +414,6 @@ def _desk_guard(lo, hi) -> None:
         if size > _DESK_LIMIT:
             raise CLIError(4, "--brute-force box exceeds the desk-scale "
                               f"limit of {_DESK_LIMIT} points")
-
-
-def _box_points(lo, hi):
-    return list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
 
 
 def _row_msg(pf: ProblemFile, idx: int, msg: str) -> str:
@@ -603,40 +524,38 @@ def _fiber_rows(pf: ProblemFile, P: Polyhedron):
     return A, b, tuple(int(u) for u in upper)
 
 
+def _convex_term(kind: str, payload):
+    """The function of one sq, abs or pwl OBJECTIVE term."""
+    if kind == "sq":
+        return lambda m: (Fraction(m) - payload) ** 2
+    if kind == "abs":
+        return lambda m: abs(Fraction(m) - payload)
+    return lambda m: max(a * m + b for a, b in payload)
+
+
 def _separable(terms, dim: int, pf: ProblemFile) -> SeparableConvexFn:
     if len(terms) != dim:
         raise CLIError(4, f"OBJECTIVE has {len(terms)} terms "
                           f"but needs {dim}, one per coordinate")
-    fns: list[Callable[[int], Fraction]] = []
-    for i, (kind, payload) in enumerate(terms):
-        if kind == "sq":
-            fns.append(lambda m, c=payload: (Fraction(m) - c) ** 2)
-        elif kind == "abs":
-            fns.append(lambda m, c=payload: abs(Fraction(m) - c))
-        elif kind == "pwl":
-            fns.append(lambda m, ps=payload: max(a * m + b for a, b in ps))
-        else:
+    for i, (kind, _) in enumerate(terms):
+        if kind == "tab":
             raise CLIError(4, _term_msg(
                 pf, i, "tab terms are only supported by the "
                        "indepsys command"))
-    return SeparableConvexFn(tuple(fns))
+    return SeparableConvexFn(tuple(_convex_term(*term) for term in terms))
 
 
 def _univariate(term, max_weight: int, pf: ProblemFile):
     """Objective on total weights for indepsys; tab is legal here
     because the strategy never requires convexity."""
     kind, payload = term
-    if kind == "sq":
-        return lambda v, c=payload: (Fraction(v) - c) ** 2
-    if kind == "abs":
-        return lambda v, c=payload: abs(Fraction(v) - c)
-    if kind == "pwl":
-        return lambda v, ps=payload: max(a * v + b for a, b in ps)
+    if kind != "tab":
+        return _convex_term(kind, payload)
     if len(payload) <= max_weight:
         raise CLIError(4, _term_msg(
             pf, 0, f"tab covers values 0..{len(payload) - 1} but the "
                    f"maximum weight is {max_weight}"))
-    return lambda v, tb=payload: tb[v]
+    return lambda v: payload[v]
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +580,7 @@ def cmd_count(pf: ProblemFile, args) -> list:
     if args.brute_force:
         lo, hi = bounding_box(P)
         _desk_guard(lo, hi)
-        points = _box_points(lo, hi)
-        inside = _pmap(P.contains, points, args.jobs)
-        brute = sum(1 for flag in inside if flag)
+        brute = sum(1 for p in _box_points(lo, hi) if P.contains(p))
         report.append(("brute_count", brute))
         report.append(("brute_force", _verdict(brute == count)))
     return report
@@ -709,10 +626,8 @@ def cmd_optimize(pf: ProblemFile, args) -> list:
     if args.brute_force:
         lo, hi = bounding_box(P)
         _desk_guard(lo, hi)
-        points = _box_points(lo, hi)
-        inside = _pmap(P.contains, points, args.jobs)
-        feasible = [p for p, flag in zip(points, inside) if flag]
-        values = _pmap(f.evaluate, feasible, args.jobs)
+        values = [f.evaluate(p) for p in _box_points(lo, hi)
+                  if P.contains(p)]
         fstar, fmin = max(values), min(values)
         ok = rep.value <= fstar and _guarantee_holds(rep, fstar, fmin)
         report.append(("brute_optimum", fstar))
@@ -739,9 +654,8 @@ def cmd_nfold(pf: ProblemFile, args) -> list:
     ]
     if args.brute_force:
         _desk_guard(lo, hi)
-        fiber = list(enumerate_fiber(nfold_matrix(spec), spec.b, lo, hi))
-        values = _pmap(f.value, fiber, args.jobs)
-        best = min(values)
+        best = min(f.value(p) for p in
+                   enumerate_fiber(nfold_matrix(spec), spec.b, lo, hi))
         report.append(("brute_optimum", best))
         report.append(("brute_force", _verdict(best == res.value)))
     return report
@@ -764,11 +678,9 @@ def _brute_graver(A, elements):
     minimality checked here is genuine minimality."""
     cols = len(A[0])
     bound = max((abs(v) for g in elements for v in g), default=1)
-    if (2 * bound + 1) ** cols > _DESK_LIMIT:
-        raise CLIError(4, "--brute-force box exceeds the desk-scale "
-                          f"limit of {_DESK_LIMIT} points")
-    span = range(-bound, bound + 1)
-    kernel = [z for z in product(span, repeat=cols)
+    lo, hi = (-bound,) * cols, (bound,) * cols
+    _desk_guard(lo, hi)
+    kernel = [z for z in _box_points(lo, hi)
               if any(z) and all(dot(row, z) == 0 for row in A)]
     minimal = [z for z in kernel
                if not any(w != z and _conformal_le(w, z) for w in kernel)]
@@ -841,9 +753,8 @@ def cmd_convexmax(pf: ProblemFile, args) -> list:
             raise CLIError(4, "--brute-force needs explicit upper bounds")
         zeros = (0,) * len(A[0])
         _desk_guard(zeros, upper)
-        fiber = list(enumerate_fiber(A, b, zeros, upper))
-        values = _pmap(lambda p: obj.value(obj.project(p)), fiber, args.jobs)
-        fstar = max(values)
+        fstar = max(obj.value(obj.project(p))
+                    for p in enumerate_fiber(A, b, zeros, upper))
         report.append(("brute_optimum", fstar))
         report.append(("brute_force", _verdict(obj.value(y) == fstar)))
     return report
@@ -851,27 +762,6 @@ def cmd_convexmax(pf: ProblemFile, args) -> list:
 
 def _point_rows(points):
     return tuple(" ".join(str(v) for v in p) for p in points)
-
-
-def _hull_member(cloud, values, x) -> bool:
-    """x lies in the projection iff some convex combination of the
-    cloud hits x with nonpositive combined polynomial value."""
-    m = len(cloud)
-    rows, senses, rhs = [], [], []
-    for j in range(len(x)):
-        rows.append(tuple(Fraction(k[j]) for k in cloud))
-        senses.append("=")
-        rhs.append(Fraction(x[j]))
-    rows.append((Fraction(1),) * m)
-    senses.append("=")
-    rhs.append(Fraction(1))
-    rows.append(tuple(values))
-    senses.append("<=")
-    rhs.append(Fraction(0))
-    res = solve_lp(LPProblem(
-        c=(Fraction(0),) * m, A=tuple(rows), b=tuple(rhs),
-        senses=tuple(senses), lower=(Fraction(0),) * m))
-    return res.status == "optimal"
 
 
 def cmd_relax(pf: ProblemFile, args) -> list:
@@ -886,11 +776,9 @@ def cmd_relax(pf: ProblemFile, args) -> list:
     rows = tuple(" ".join(format_rat(v) for v in a)
                  + " <= " + format_rat(beta)
                  for a, beta in zip(proj.A, proj.b))
-    points = _box_points(lo, hi)
-    in_proj = _pmap(proj.contains, points, args.jobs)
-    relax_points = [p for p, flag in zip(points, in_proj) if flag]
-    in_ki = _pmap(lambda p: f.evaluate(p) <= 0, points, args.jobs)
-    ki_points = [p for p, flag in zip(points, in_ki) if flag]
+    points = list(_box_points(lo, hi))
+    relax_points = [p for p in points if proj.contains(p)]
+    ki_points = [p for p in points if f.evaluate(p) <= 0]
     report = [
         ("inequalities", rows),
         ("relaxation_points", _point_rows(relax_points)),
@@ -899,10 +787,14 @@ def cmd_relax(pf: ProblemFile, args) -> list:
         ("condition_holds", check_condition(f, lo, hi)),
     ]
     if args.brute_force:
+        # p is in the projection iff some convex combination of the
+        # box points hits p with nonpositive combined value
         values = [f.evaluate(p) for p in points]
-        member = _pmap(lambda p: _hull_member(points, values, p),
-                       points, args.jobs)
-        brute_points = [p for p, flag in zip(points, member) if flag]
+        brute_points = []
+        for p in points:
+            low = _cloud_minimum(points, values, p)
+            if low is not None and low <= 0:
+                brute_points.append(p)
         report.append(("brute_points", _point_rows(brute_points)))
         report.append(("brute_force",
                        _verdict(brute_points == relax_points)))
@@ -989,8 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--brute-force", action="store_true",
                          help="cross-check against enumeration "
                               "(desk-scale inputs)")
-        sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker threads for point-wise maps")
         sub.add_argument("--timing", action="store_true",
                          help="print elapsed seconds to stderr")
         if name == "optimize":
@@ -1013,8 +903,6 @@ def _read_input(path: str) -> str:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.jobs < 1:
-            raise CLIError(4, "--jobs must be at least 1")
         started = time.perf_counter()
         problem = parse_problem(_read_input(args.file))
         report = args.func(problem, args)

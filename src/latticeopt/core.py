@@ -63,10 +63,6 @@ def vscale(c, u):
     return tuple(c * a for a in u)
 
 
-def is_zero_vector(u) -> bool:
-    return all(a == 0 for a in u)
-
-
 def mat_vec(M, x):
     return tuple(dot(row, x) for row in M)
 

@@ -12,16 +12,15 @@ the signed union count every lattice point exactly once with no
 inclusion-exclusion over faces.
 
 Specializing z -> 1 goes through the substitution z_i = (1+t)^(mu_i)
-with mu chosen off every denominator hyperplane; counting and
-polynomial-weighted summation then reduce to exact coefficient
-extraction in truncated power series over Fraction.
+with mu chosen off every denominator hyperplane; a polynomial-weighted
+sum then reduces to exact coefficient extraction in truncated power
+series over Fraction, and counting is the weighted sum with weight 1.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,15 +28,11 @@ from typing import Iterable, Sequence
 from .core import (
     det,
     dot,
-    format_rat,
     kernel_basis,
     lll_reduce_with_transform,
-    parse_rat,
     solve_integer,
     solve_rational,
     transpose,
-    vadd,
-    vscale,
 )
 from .polyhedra import (
     Polyhedron,
@@ -308,7 +303,7 @@ def polyhedron_gf(P: Polyhedron) -> GeneratingFunction:
 
 
 # ---------------------------------------------------------------------------
-# specialization at z = 1
+# power series in t for the substitution z = (1+t)^mu
 
 def _binom(e: int, k: int) -> int:
     if k < 0:
@@ -351,137 +346,29 @@ def _u_series(s: int, L: int):
     return [Fraction(-_binom(s, k + 1)) for k in range(L + 1)]
 
 
-def normalize_term(t: GFTerm) -> GFTerm:
-    """Flip lex-negative denominator vectors via 1/(1-z^-b) = -z^b/(1-z^b)."""
-    sign = t.sign
-    num = list(t.numerator)
-    den = []
-    for b, m in t.denominator:
-        first = next(x for x in b if x != 0)
-        if first < 0:
-            b = tuple(-x for x in b)
-            sign *= (-1) ** m
-            num = [(cf, vadd(a, vscale(m, b))) for cf, a in num]
-        den.append((b, m))
-    return GFTerm(sign, tuple(num), tuple(den))
+def _moment_direction(vectors, d: int) -> IntVec:
+    """mu = (1, M, ..., M^(d-1)) for the least M >= 1 with mu.b != 0 for
+    every (nonzero) b in `vectors`.
 
-
-def _moment_direction(vectors, d: int, limit: int = 10000) -> IntVec:
-    if d == 0:
-        return ()
-    for M in range(1, limit + 1):
-        mu = tuple(M ** i for i in range(d))
-        if all(dot(mu, b) != 0 for b in vectors):
-            return mu
-    raise RuntimeError("no generic specialization direction found")
-
-
-def specialize_at_one(g: GeneratingFunction, direction=None) -> Fraction:
-    """Exact value of g at z = 1, finite for bounded lattice-point sets."""
-    if not g.terms:
-        return Fraction(0)
-    terms = [normalize_term(t) for t in g.terms]
-    vectors = {b for t in terms for b, _ in t.denominator}
-    if direction is None:
-        mu = _moment_direction(vectors, g.dimension)
-    else:
-        mu = tuple(int(x) for x in direction)
-        if len(mu) != g.dimension:
-            raise ValueError("direction dimension mismatch")
-        bad = [b for b in vectors if dot(mu, b) == 0]
-        if bad:
-            raise ValueError(f"direction is orthogonal to {bad[0]}")
-
-    total = Fraction(0)
-    for t in terms:
-        L = t.pole_order
-        prod = [Fraction(1)] + [Fraction(0)] * L
-        for b, m in t.denominator:
-            u = _u_series(dot(mu, b), L)
-            for _ in range(m):
-                prod = _series_mul(prod, u, L)
-        inv = _series_inv(prod, L)
-        for cf, a in t.numerator:
-            e = dot(mu, a)
-            val = sum(_binom(e, L - k) * inv[k] for k in range(L + 1))
-            total += t.sign * cf * val
-    return total
+    The search always succeeds within M <= len(vectors) * (d - 1) + 1:
+    for each b, mu.b = sum_i b_i M^i is a nonzero polynomial in M of
+    degree at most d - 1, so it vanishes at no more than d - 1 values
+    of M, and the vectors together rule out at most len(vectors) * (d - 1)
+    of the candidates.
+    """
+    candidates = (tuple(M ** i for i in range(d))
+                  for M in range(1, len(vectors) * (d - 1) + 2))
+    return next(mu for mu in candidates
+                if all(dot(mu, b) != 0 for b in vectors))
 
 
 # ---------------------------------------------------------------------------
-# differential operators (weighted counting)
+# weighted specialization
 
 def _monomials_of(h) -> tuple[Monomial, ...]:
     mons = getattr(h, "monomials", h)
     return tuple((Fraction(c), tuple(int(x) for x in e)) for c, e in mons)
 
-
-def _combine(terms: Iterable[GFTerm]) -> tuple[GFTerm, ...]:
-    acc: dict[tuple, dict[IntVec, Fraction]] = {}
-    for t in terms:
-        bucket = acc.setdefault(t.denominator, {})
-        for cf, a in t.numerator:
-            bucket[a] = bucket.get(a, Fraction(0)) + t.sign * cf
-    out = []
-    for den in sorted(acc):
-        num = tuple((cf, a) for a, cf in sorted(acc[den].items()) if cf != 0)
-        if not num:
-            continue
-        if all(cf < 0 for cf, _ in num):
-            out.append(GFTerm(-1, tuple((-cf, a) for cf, a in num), den))
-        else:
-            out.append(GFTerm(1, num, den))
-    return tuple(out)
-
-
-def _op_once(terms: tuple[GFTerm, ...], i: int) -> tuple[GFTerm, ...]:
-    # z_i d/dz_i by the product rule: differentiate the numerator, then
-    # bump each denominator factor's multiplicity
-    out = []
-    for t in terms:
-        num = tuple((cf * a[i], a) for cf, a in t.numerator if a[i] != 0)
-        if num:
-            out.append(GFTerm(t.sign, num, t.denominator))
-        for j, (b, m) in enumerate(t.denominator):
-            if b[i] == 0:
-                continue
-            num_j = tuple((cf * m * b[i], vadd(a, b)) for cf, a in t.numerator)
-            den_j = t.denominator[:j] + ((b, m + 1),) + t.denominator[j + 1:]
-            out.append(GFTerm(t.sign, num_j, den_j))
-    return _combine(out)
-
-
-def apply_operator(g: GeneratingFunction, h) -> GeneratingFunction:
-    """Weighted generating function: sum of h(alpha) z^alpha over the set.
-
-    Each monomial x^gamma of h acts as the operator prod_i (z_i d/dz_i)
-    applied gamma_i times; intermediate states are cached by prefix so
-    monomials sharing low-index exponents reuse work.
-    """
-    mons = _monomials_of(h)
-    d = g.dimension
-    cache: dict[IntVec, tuple[GFTerm, ...]] = {(0,) * d: tuple(g.terms)}
-
-    def state(gamma: IntVec) -> tuple[GFTerm, ...]:
-        if gamma in cache:
-            return cache[gamma]
-        i = max(idx for idx in range(d) if gamma[idx] > 0)
-        pred = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]
-        res = _op_once(state(pred), i)
-        cache[gamma] = res
-        return res
-
-    pieces = []
-    for cf, gamma in sorted(mons, key=lambda m: m[1]):
-        for t in state(gamma):
-            pieces.append(GFTerm(t.sign,
-                                 tuple((cf * c, a) for c, a in t.numerator),
-                                 t.denominator))
-    return GeneratingFunction(d, _combine(pieces))
-
-
-# ---------------------------------------------------------------------------
-# fast weighted specialization
 
 def _poly_mul(p: dict, q: dict) -> dict:
     out: dict[IntVec, Fraction] = {}
@@ -599,60 +486,11 @@ def weighted_sum(g: GeneratingFunction, h, power: int = 1) -> Fraction:
     return total
 
 
-# ---------------------------------------------------------------------------
-# serialization
+def specialize_at_one(g: GeneratingFunction) -> Fraction:
+    """Exact value of g at z = 1: the number of lattice points it encodes.
 
-def dumps(g: GeneratingFunction) -> str:
-    """Canonical text form, one term per line, terms sorted."""
-    lines = [f"gf dim={g.dimension} terms={len(g.terms)}"]
-    rendered = []
-    for t in g.terms:
-        num = " + ".join(
-            f"{format_rat(cf)}*z^({','.join(str(x) for x in a)})"
-            for cf, a in t.numerator)
-        den = " ".join(
-            f"({','.join(str(x) for x in b)})^{m}"
-            for b, m in t.denominator)
-        rendered.append((t.denominator, t.numerator, t.sign,
-                         f"{'+' if t.sign > 0 else '-'} ; {num} ; {den}"))
-    lines.extend(line for *_, line in sorted(rendered))
-    return "\n".join(lines) + "\n"
-
-
-_TERM_RE = re.compile(r"^([+-]) ; (.*) ; (.*)$")
-_MONO_RE = re.compile(r"^(-?\d+(?:/\d+)?)\*z\^\(([-\d,]*)\)$")
-_DEN_RE = re.compile(r"^\(([-\d,]*)\)\^(\d+)$")
-
-
-def loads(text: str) -> GeneratingFunction:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = re.match(r"^gf dim=(\d+) terms=(\d+)$", lines[0])
-    if not head:
-        raise ValueError("missing generating-function header")
-    dim, count = int(head.group(1)), int(head.group(2))
-    if len(lines) - 1 != count:
-        raise ValueError("term count mismatch")
-    terms = []
-    for ln in lines[1:]:
-        m = _TERM_RE.match(ln)
-        if not m:
-            raise ValueError(f"bad term line: {ln!r}")
-        sign = 1 if m.group(1) == "+" else -1
-        num = []
-        for part in m.group(2).split(" + "):
-            mm = _MONO_RE.match(part.strip())
-            if not mm:
-                raise ValueError(f"bad monomial: {part!r}")
-            exps = tuple(int(x) for x in mm.group(2).split(",")) \
-                if mm.group(2) else ()
-            num.append((parse_rat(mm.group(1)), exps))
-        den = []
-        for part in m.group(3).split():
-            dm = _DEN_RE.match(part)
-            if not dm:
-                raise ValueError(f"bad denominator factor: {part!r}")
-            vec = tuple(int(x) for x in dm.group(1).split(",")) \
-                if dm.group(1) else ()
-            den.append((vec, int(dm.group(2))))
-        terms.append(GFTerm(sign, tuple(num), tuple(den)))
-    return GeneratingFunction(dim, tuple(terms))
+    This is the weighted sum with weight 1, so like weighted_sum it takes
+    freshly decomposed terms (polyhedron_gf output) and raises
+    ValueError on any other.
+    """
+    return weighted_sum(g, ((Fraction(1), (0,) * g.dimension),))

@@ -472,40 +472,3 @@ def sign_compatible_decompose(z, G: GraverBasis) -> list[tuple[int, IntVec]]:
         out.append((alpha, g))
         z = vsub(z, vscale(alpha, g))
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def dumps(G: GraverBasis) -> str:
-    m = len(G.matrix)
-    t = len(G.matrix[0]) if G.matrix else 0
-    lines = [f"graver rows={m} cols={t} size={len(G.elements)}"]
-    for row in G.matrix:
-        lines.append("A " + " ".join(str(x) for x in row))
-    for g in G.elements:
-        lines.append("g " + " ".join(str(x) for x in g))
-    return "\n".join(lines) + "\n"
-
-
-def loads(text: str) -> GraverBasis:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("graver "):
-        raise ValueError("not a graver basis block")
-    fields = dict(part.split("=") for part in lines[0].split()[1:])
-    rows, cols, size = (int(fields[k]) for k in ("rows", "cols", "size"))
-    A, elems = [], []
-    for ln in lines[1:]:
-        tag, *vals = ln.split()
-        vec = tuple(int(v) for v in vals)
-        if len(vec) != cols:
-            raise ValueError(f"expected {cols} entries per line: {ln!r}")
-        if tag == "A":
-            A.append(vec)
-        elif tag == "g":
-            elems.append(vec)
-        else:
-            raise ValueError(f"unknown line tag {tag!r}")
-    if len(A) != rows or len(elems) != size:
-        raise ValueError("header does not match the block body")
-    return GraverBasis(tuple(A), tuple(elems))

@@ -16,10 +16,9 @@ from pathlib import Path
 import pytest
 
 import latticeopt.cli as cli
-from latticeopt.cli import CLIError, dumps_problem, main, parse_problem
+from latticeopt.cli import CLIError, main, parse_problem
 
 FIXTURES = Path(__file__).parent / "fixtures"
-ALL_FIXTURES = sorted(FIXTURES.glob("*.txt"))
 
 
 def run_cli(capsys, *argv):
@@ -37,15 +36,7 @@ def report_of(out):
 
 
 # ---------------------------------------------------------------------------
-# parsing and serialization
-
-def test_roundtrip_identity_on_all_fixtures():
-    assert ALL_FIXTURES, "fixture directory is empty"
-    for path in ALL_FIXTURES:
-        first = parse_problem(path.read_text())
-        again = parse_problem(dumps_problem(first))
-        assert again == first, path.name
-
+# parsing
 
 def test_parse_reports_offending_line():
     with pytest.raises(CLIError) as err:
@@ -106,13 +97,6 @@ def test_comments_and_blank_lines_ignored():
     problem = parse_problem(text)
     assert problem.polytope is not None
     assert len(problem.polytope.A) == 2
-
-
-def test_serialized_form_is_stable():
-    text = (FIXTURES / "nfold_small.txt").read_text()
-    once = dumps_problem(parse_problem(text))
-    twice = dumps_problem(parse_problem(once))
-    assert once == twice
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +455,15 @@ DETERMINISM_CASES = (
 @pytest.mark.parametrize("command,fixture", DETERMINISM_CASES)
 def test_output_bytes_survive_hash_seed_and_jobs(command, fixture):
     outputs = []
-    for seed, jobs in (("1", "1"), ("77", "1"), ("1", "4")):
+    for seed in ("1", "77"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "latticeopt.cli", command,
-             str(FIXTURES / fixture), "--brute-force", "--jobs", jobs],
+             str(FIXTURES / fixture), "--brute-force"],
             capture_output=True, env=env, cwd=str(FIXTURES.parent.parent))
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_json_matches_text_field_order(capsys):
@@ -531,8 +515,6 @@ def test_usage_errors_exit_4(capsys):
     assert run_cli(capsys, "count")[0] == 4
     assert run_cli(capsys, "nosuchcommand", "x.txt")[0] == 4
     assert run_cli(capsys, "count", "no_such_file.txt")[0] == 4
-    assert run_cli(capsys, "count", str(FIXTURES / "unit_cube.txt"),
-                   "--jobs", "0")[0] == 4
 
 
 def test_missing_section_exits_4(capsys):

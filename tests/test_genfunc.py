@@ -16,10 +16,7 @@ from latticeopt.core import solve_rational, transpose
 from latticeopt.genfunc import (
     GeneratingFunction,
     GFTerm,
-    apply_operator,
-    dumps,
-    loads,
-    normalize_term,
+    _moment_direction,
     polyhedron_gf,
     signed_decompose,
     specialize_at_one,
@@ -33,6 +30,7 @@ from latticeopt.polyhedra import (
     bounding_box,
     box_polyhedron,
 )
+from operator_route import apply_operator, specialize_general
 
 
 def brute_count(P):
@@ -308,15 +306,22 @@ def test_vertex_terms_all_matter():
 def test_specialization_direction_independent():
     P = Polyhedron(((-1, 0), (0, -1), (1, 1)), (0, 0, 5))
     g = polyhedron_gf(P)
-    c1 = specialize_at_one(g, direction=(1, 2))
-    c2 = specialize_at_one(g, direction=(3, 7))
-    assert c1 == c2 == 21
+    c1 = specialize_general(g, direction=(1, 2))
+    c2 = specialize_general(g, direction=(3, 7))
+    assert c1 == c2 == specialize_at_one(g) == 21
 
 
 def test_specialization_rejects_orthogonal_direction():
     g = polyhedron_gf(Polyhedron(((1,), (-1,)), (4, 0)))
     with pytest.raises(ValueError):
-        specialize_at_one(g, direction=(0,))
+        specialize_general(g, direction=(0,))
+
+
+def test_moment_direction_search_bound():
+    # (1, M) . (m, -1) = m - M vanishes at M = 1..5, so the search must
+    # reach its bound 5 * (2 - 1) + 1 = 6
+    vectors = {(m, -1) for m in range(1, 6)}
+    assert _moment_direction(vectors, 2) == (1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +330,13 @@ def test_specialization_rejects_orthogonal_direction():
 def test_operator_identity_keeps_value():
     g = polyhedron_gf(box_polyhedron((0, 0), (2, 2)))
     g1 = apply_operator(g, ((1, (0, 0)),))
-    assert specialize_at_one(g1) == specialize_at_one(g) == 9
+    assert specialize_general(g1) == specialize_at_one(g) == 9
 
 
 def test_operator_square_weights_interval():
     g = polyhedron_gf(Polyhedron(((1,), (-1,)), (4, 0)))
     g2 = apply_operator(g, ((1, (2,)),))
-    assert specialize_at_one(g2) == 30
+    assert specialize_general(g2) == 30
 
     # same rational function as the textbook second-derivative result
     def closed_form(z):
@@ -346,7 +351,7 @@ def test_operator_square_weights_interval():
 def test_operator_product_weight_square():
     g = polyhedron_gf(box_polyhedron((0, 0), (2, 2)))
     gw = apply_operator(g, ((1, (1, 1)),))
-    assert specialize_at_one(gw) == 9
+    assert specialize_general(gw) == 9
 
 
 def test_operator_linearity():
@@ -360,9 +365,9 @@ def test_operator_linearity():
         h2 = tuple((Fraction(rng.randint(-3, 3)),
                     (rng.randint(0, 2), rng.randint(0, 2)))
                    for _ in range(2))
-        s1 = specialize_at_one(apply_operator(g, h1))
-        s2 = specialize_at_one(apply_operator(g, h2))
-        s12 = specialize_at_one(apply_operator(g, h1 + h2))
+        s1 = specialize_general(apply_operator(g, h1))
+        s2 = specialize_general(apply_operator(g, h2))
+        s12 = specialize_general(apply_operator(g, h1 + h2))
         assert s12 == s1 + s2
 
 
@@ -375,7 +380,7 @@ def test_operator_matches_bruteforce():
         mons = tuple((Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                       tuple(rng.randint(0, 2) for _ in range(n)))
                      for _ in range(2))
-        got = specialize_at_one(apply_operator(polyhedron_gf(P), mons))
+        got = specialize_general(apply_operator(polyhedron_gf(P), mons))
         assert got == brute_weighted(P, mons)
         done += 1
 
@@ -391,7 +396,7 @@ def test_weighted_sum_agrees_with_operator_route():
                      for _ in range(2))
         g = polyhedron_gf(P)
         fast = weighted_sum(g, mons)
-        slow = specialize_at_one(apply_operator(g, mons))
+        slow = specialize_general(apply_operator(g, mons))
         assert fast == slow == brute_weighted(P, mons)
         done += 1
 
@@ -401,33 +406,6 @@ def test_weighted_sum_rejects_processed_terms():
     g2 = apply_operator(g, ((1, (2,)),))
     with pytest.raises(ValueError):
         weighted_sum(g2, ((1, (0,)),))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_dumps_golden_interval():
-    g = polyhedron_gf(Polyhedron(((1,), (-1,)), (4, 0)))
-    assert dumps(g) == ("gf dim=1 terms=2\n"
-                        "+ ; 1*z^(4) ; (-1)^1\n"
-                        "+ ; 1*z^(0) ; (1)^1\n")
-
-
-def test_dumps_loads_roundtrip():
-    rng = random.Random(31)
-    for _ in range(8):
-        n = rng.randint(1, 3)
-        P = random_bounded_polyhedron(rng, n)
-        g = polyhedron_gf(P)
-        again = loads(dumps(g))
-        assert dumps(again) == dumps(g)
-        assert specialize_at_one(again) == specialize_at_one(g)
-
-
-def test_normalize_preserves_value():
-    g = polyhedron_gf(Polyhedron(((1,), (-1,)), (9, 0)))
-    normed = GeneratingFunction(
-        1, tuple(normalize_term(t) for t in g.terms))
-    for z in (2, 3, Fraction(2, 3)):
-        assert eval_gf_at(normed, (z,)) == eval_gf_at(g, (z,))
-    assert specialize_at_one(normed) == 10
+    # counting is the weight-1 sum, so it takes fresh terms only too
+    with pytest.raises(ValueError):
+        specialize_at_one(g2)

@@ -14,10 +14,8 @@ from latticeopt.graver import (
     NFoldSpec,
     SeparableConvexFn,
     check_optimality,
-    dumps,
     graver_basis,
     greedy_augment,
-    loads,
     nfold_matrix,
     nfold_minimize,
     sign_compatible_decompose,
@@ -122,15 +120,6 @@ def test_basis_validation():
         GraverBasis(((1, 1),), ((1, 0),))      # not in kernel
     with pytest.raises(ValueError):
         GraverBasis(((1, 1),), ((1, -1), (1, -1)))  # duplicate
-
-
-def test_serialization_roundtrip():
-    G = graver_basis(((1, 2, 1),))
-    text = dumps(G)
-    assert text.splitlines()[0] == f"graver rows=1 cols=3 size={len(G)}"
-    H = loads(text)
-    assert H == G
-    assert dumps(loads(dumps(G))) == dumps(G)
 
 
 # ---------------------------------------------------------------------------
