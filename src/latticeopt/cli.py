@@ -72,7 +72,7 @@ from .indepsys import (
     naive_strategy,
     r_bound,
 )
-from .polyhedra import Polyhedron, bounding_box, is_bounded, is_empty
+from .polyhedra import Polyhedron, UnboundedError, bounding_box, is_empty
 from .polyrelax import (
     _box_points,
     _cloud_minimum,
@@ -565,9 +565,10 @@ def cmd_count(pf: ProblemFile, args) -> list:
     P = _require(pf, "polytope", "POLYTOPE", "count")
     if is_empty(P):
         raise CLIError(2, "polytope is infeasible")
-    if not is_bounded(P):
-        raise CLIError(3, "polytope is unbounded")
-    g = polyhedron_gf(P)
+    try:
+        g = polyhedron_gf(P)
+    except UnboundedError:
+        raise CLIError(3, "polytope is unbounded") from None
     specialized = specialize_at_one(g)
     if specialized.denominator != 1:
         raise RuntimeError(f"specialization gave a non-integer {specialized}")
@@ -605,10 +606,10 @@ def cmd_optimize(pf: ProblemFile, args) -> list:
         raise CLIError(4, "--epsilon must be positive")
     if is_empty(P):
         raise CLIError(2, "polytope is infeasible")
-    if not is_bounded(P):
-        raise CLIError(3, "polytope is unbounded")
     try:
         x, rep = maximize(P, f, eps)
+    except UnboundedError:
+        raise CLIError(3, "polytope is unbounded") from None
     except ValueError as e:
         raise CLIError(2, str(e)) from None
     report = [

@@ -35,7 +35,7 @@ from .genfunc import (
     specialize_at_one,
     weighted_sum,
 )
-from .polyhedra import Polyhedron, bounding_box, box_polyhedron, is_empty
+from .polyhedra import Polyhedron, bounding_box, box_polyhedron
 
 IntVec = tuple[int, ...]
 
@@ -202,10 +202,10 @@ def nonneg_shift(f: SparsePolynomial, P: Polyhedron
 # recovery by bisection
 
 def _box_gf_sum(P, lo, hi, f, k):
-    piece = P.intersect(box_polyhedron(lo, hi))
-    if is_empty(piece):
+    g = polyhedron_gf(P.intersect(box_polyhedron(lo, hi)))
+    if not g.terms:
         return None
-    return weighted_sum(polyhedron_gf(piece), f.monomials, power=k)
+    return weighted_sum(g, f.monomials, power=k)
 
 
 def _recover(P: Polyhedron, f: SparsePolynomial, target: Optional[tuple],

@@ -37,10 +37,8 @@ from .core import (
 from .polyhedra import (
     Polyhedron,
     SimplicialCone,
+    bounding_box,
     enumerate_vertices,
-    implicit_equality_rows,
-    is_bounded,
-    is_empty,
     open_facets_for,
     supporting_cone,
     triangulate,
@@ -282,18 +280,22 @@ def _affine_restriction_gf(P: Polyhedron, eq_rows: tuple[int, ...]
 
 
 def polyhedron_gf(P: Polyhedron) -> GeneratingFunction:
-    """Brion sum over vertices of the decomposed supporting cones."""
+    """Brion sum over vertices of the decomposed supporting cones.
+
+    Empty P gives no terms; unbounded P raises UnboundedError.  A bounded
+    nonempty P is the hull of its vertices, so its implicit equalities are
+    exactly the rows tight at every vertex.
+    """
     n = P.dim
-    if is_empty(P):
+    if bounding_box(P) is None:
         return GeneratingFunction(n, ())
-    eq = implicit_equality_rows(P)
+    vertices = enumerate_vertices(P)
+    eq = frozenset.intersection(*(v.tight_rows for v in vertices))
     if eq:
-        return _affine_restriction_gf(P, eq)
-    if not is_bounded(P):
-        raise ValueError("polyhedron is unbounded")
+        return _affine_restriction_gf(P, tuple(sorted(eq)))
 
     terms = []
-    for v in enumerate_vertices(P):
+    for v in vertices:
         cone = supporting_cone(P, v)
         eta = tuple(sum(r[i] for r in cone.rays) for i in range(n))
         for piece in triangulate(cone, reference=eta):

@@ -34,6 +34,10 @@ class NotPointedError(ValueError):
     """The polyhedron or cone contains a line."""
 
 
+class UnboundedError(ValueError):
+    """The polyhedron has a recession ray."""
+
+
 @dataclass(frozen=True)
 class Polyhedron:
     """{x : A x <= b} with rational data."""
@@ -145,24 +149,17 @@ def is_empty(P: Polyhedron) -> bool:
 
 def is_bounded(P: Polyhedron) -> bool:
     """True when P (possibly empty) has no recession ray."""
-    n = P.dim
-    senses = ("<=",) * len(P.A)
-    if is_empty(P):
-        return True
-    for i in range(n):
-        c = tuple(1 if j == i else 0 for j in range(n))
-        for mx in (True, False):
-            r = solve_lp(LPProblem(c=c, A=P.A, b=P.b, senses=senses,
-                                   maximize=mx))
-            if r.status == "unbounded":
-                return False
+    try:
+        bounding_box(P)
+    except UnboundedError:
+        return False
     return True
 
 
 def bounding_box(P: Polyhedron) -> Optional[tuple]:
     """Smallest integer box containing P, as (lo, hi) int tuples.
 
-    None for empty P; ValueError for unbounded P.
+    None for empty P; UnboundedError for unbounded P.
     """
     n = P.dim
     senses = ("<=",) * len(P.A)
@@ -176,7 +173,7 @@ def bounding_box(P: Polyhedron) -> Optional[tuple]:
         rmin = solve_lp(LPProblem(c=c, A=P.A, b=P.b, senses=senses,
                                   maximize=False))
         if rmax.status != "optimal" or rmin.status != "optimal":
-            raise ValueError("polyhedron is unbounded")
+            raise UnboundedError("polyhedron is unbounded")
         hi.append(math.floor(rmax.value))
         lo.append(math.ceil(rmin.value))
     return tuple(lo), tuple(hi)

@@ -130,20 +130,28 @@ def test_count_simplex_brute(capsys):
     assert fields["brute_force"] == "MATCH"
 
 
-def test_count_infeasible_exits_2(capsys, tmp_path):
+# optimize needs a POLY section to get past parsing to the polytope checks
+PREFLIGHT_COMMANDS = {"count": "", "optimize": "POLY\n1 1\n"}
+
+
+@pytest.mark.parametrize("command", sorted(PREFLIGHT_COMMANDS))
+def test_count_infeasible_exits_2(capsys, tmp_path, command):
     bad = tmp_path / "empty.txt"
-    bad.write_text("POLYTOPE\n1 <= -1\n-1 <= 0\n")
-    code, out, err = run_cli(capsys, "count", str(bad))
+    bad.write_text("POLYTOPE\n1 <= -1\n-1 <= 0\n"
+                   + PREFLIGHT_COMMANDS[command])
+    code, out, err = run_cli(capsys, command, str(bad))
     assert code == 2
     assert out == ""
     assert "infeasible" in err
 
 
-def test_count_unbounded_exits_3(capsys, tmp_path):
+@pytest.mark.parametrize("command", sorted(PREFLIGHT_COMMANDS))
+def test_count_unbounded_exits_3(capsys, tmp_path, command):
     bad = tmp_path / "ray.txt"
-    bad.write_text("POLYTOPE\n-1 <= 0\n")
-    code, _, err = run_cli(capsys, "count", str(bad))
+    bad.write_text("POLYTOPE\n-1 <= 0\n" + PREFLIGHT_COMMANDS[command])
+    code, out, err = run_cli(capsys, command, str(bad))
     assert code == 3
+    assert out == ""
     assert "unbounded" in err
 
 

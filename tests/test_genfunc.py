@@ -27,6 +27,7 @@ from latticeopt.polyhedra import (
     NotPointedError,
     Polyhedron,
     SimplicialCone,
+    UnboundedError,
     bounding_box,
     box_polyhedron,
 )
@@ -265,6 +266,10 @@ def test_count_affine_lattice_empty():
 def test_unbounded_rejected():
     with pytest.raises(ValueError):
         polyhedron_gf(Polyhedron(((-1, 0), (0, -1)), (0, 0)))
+    # {2x = 1, y >= 0}: the equalities have no integer point, but P is
+    # still unbounded
+    with pytest.raises(UnboundedError):
+        polyhedron_gf(Polyhedron(((2, 0), (-2, 0), (0, -1)), (1, -1, 0)))
 
 
 def test_random_polytopes_match_bruteforce():

@@ -16,6 +16,7 @@ from latticeopt.polyhedra import (
     NotPointedError,
     Polyhedron,
     SimplicialCone,
+    UnboundedError,
     bounding_box,
     box_polyhedron,
     enumerate_vertices,
@@ -147,6 +148,9 @@ def test_bounding_box_and_boundedness():
     assert lo == (0, 0) and hi == (6, 4)
     Q = Polyhedron(((-1, 0), (0, -1)), (0, 0))
     assert not is_bounded(Q)
+    assert issubclass(UnboundedError, ValueError)
+    with pytest.raises(UnboundedError):
+        bounding_box(Q)
     empty = Polyhedron(((1,), (-1,)), (0, -1))
     assert is_bounded(empty)
     assert bounding_box(empty) is None
@@ -155,6 +159,37 @@ def test_bounding_box_and_boundedness():
 def test_implicit_equalities():
     P = Polyhedron(((1, 1), (-1, -1), (1, 0), (-1, 0)), (3, -3, 2, 0))
     assert implicit_equality_rows(P) == (0, 1)
+
+
+def test_vertex_tight_rows_are_the_implicit_equalities():
+    # polyhedron_gf reads the implicit equalities of a polytope off its
+    # vertices; the LP routine checks that rule independently
+    rng = random.Random(61)
+    done = flat = 0
+    while done < 30:
+        n = rng.randint(1, 3)
+        lo = tuple(rng.randint(-3, 0) for _ in range(n))
+        hi = tuple(rng.randint(0, 3) for _ in range(n))
+        box = box_polyhedron(lo, hi)
+        A, b = list(box.A), list(box.b)
+        for _ in range(rng.randint(0, 2)):
+            A.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+            b.append(rng.randint(-2, 8))
+        if done % 3 == 0:
+            # a forced pair of opposite rows through a point of the box
+            a = tuple(rng.randint(-3, 3) for _ in range(n))
+            beta = dot(a, tuple(rng.randint(l, h) for l, h in zip(lo, hi)))
+            A += [a, tuple(-x for x in a)]
+            b += [beta, -beta]
+        P = Polyhedron(tuple(A), tuple(b))
+        if bounding_box(P) is None:
+            continue
+        tight = frozenset.intersection(
+            *(v.tight_rows for v in enumerate_vertices(P)))
+        assert tuple(sorted(tight)) == implicit_equality_rows(P)
+        flat += bool(tight)
+        done += 1
+    assert 10 <= flat < 30
 
 
 # ---------------------------------------------------------------------------
