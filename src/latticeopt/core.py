@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: rational vectors, integer linear algebra, lattice
-reduction, and a fraction-exact simplex solver.
+reduction, and an exact fraction-free simplex solver.
 
 Everything downstream builds on this module.  All numbers are ints or
 `fractions.Fraction`; nothing here ever touches floating point, so results
@@ -106,12 +106,10 @@ def lex_canonical(v) -> tuple:
 
 
 def clear_denominators(v) -> tuple:
-    """Scale a rational vector by the positive lcm of denominators: integer tuple."""
-    lcm = 1
-    for x in v:
-        f = Fraction(x)
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    return tuple(int(Fraction(x) * lcm) for x in v)
+    """Scale a vector of ints and Fractions by the positive lcm of its
+    denominators: integer tuple."""
+    lcm = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (lcm // x.denominator) for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +329,25 @@ def lll_reduce_with_transform(basis, delta: Fraction = Fraction(3, 4)) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# linear programming (exact two-phase simplex, Bland's rule)
+# linear programming (exact fraction-free two-phase simplex, Bland's rule)
 
 class LPError(Exception):
     pass
+
+
+_FLIP = {"<=": ">=", "=": "=", ">=": "<="}
 
 
 @dataclass(frozen=True)
 class LPProblem:
     """max (or min) c.x subject to rows A x {<=,=,>=} b and optional bounds.
 
-    senses is one string per row: '<=', '=', '>='.  lower/upper are per
-    variable, None meaning unbounded on that side.  Empty constraint data is
-    allowed: with no rows and no bounds the problem is unbounded unless the
-    objective is zero, in which case the origin is reported optimal.
+    Entries are ints or Fractions.  senses is one string per row: '<=',
+    '=', '>='.  lower/upper are per variable, None meaning unbounded on
+    that side.  Mismatched lengths or an unknown sense raise LPError.
+    Empty constraint data is allowed: with no rows and no bounds the
+    problem is unbounded unless the objective is zero, in which case the
+    origin is reported optimal.
     """
     c: tuple
     A: tuple
@@ -360,155 +363,187 @@ class LPProblem:
             object.__setattr__(self, "lower", tuple([None] * n))
         if self.upper is None:
             object.__setattr__(self, "upper", tuple([None] * n))
+        m = len(self.A)
+        if len(self.b) != m or len(self.senses) != m:
+            raise LPError(f"{m} rows, {len(self.b)} right-hand sides and "
+                          f"{len(self.senses)} senses")
+        for row in self.A:
+            if len(row) != n:
+                raise LPError(f"row of length {len(row)} for {n} variables")
+        if len(self.lower) != n or len(self.upper) != n:
+            raise LPError(f"{len(self.lower)} lower and {len(self.upper)} "
+                          f"upper bounds for {n} variables")
+        for sense in self.senses:
+            if sense not in _FLIP:
+                raise LPError(f"unknown sense {sense!r}")
 
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str          # 'optimal' | 'infeasible' | 'unbounded'
+    """status is 'optimal', 'infeasible' or 'unbounded'.
+
+    When optimal, x is an optimal point (which one, when there are
+    several, is unspecified) and value = c.x; otherwise both are None.
+    """
+    status: str
     x: Optional[tuple]
     value: Optional[Fraction]
 
 
-def _pivot(tab, rhs, basis, r, col):
-    pv = tab[r][col]
-    tab[r] = [a / pv for a in tab[r]]
-    rhs[r] = rhs[r] / pv
-    for i in range(len(tab)):
-        if i != r and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [a - f * b2 for a, b2 in zip(tab[i], tab[r])]
-            rhs[i] = rhs[i] - f * rhs[r]
-    basis[r] = col
+def _integer_pivot(rows, r, e, D) -> int:
+    """Integer-preserving pivot on rows[r][e]; returns the new denominator.
 
-
-def _simplex_max(tab, rhs, basis, cost):
-    """Maximize cost.x over the tableau (rows already basic-feasible).
-
-    Returns 'optimal' or 'unbounded'.  Bland's rule throughout, so cycling
-    is impossible.
+    Each row, objective rows included, holds D times its rational tableau
+    row, so a basic variable's value is its row's last entry over D.
+    Every updated entry is a minor of the starting integer matrix, so the
+    division by D is exact (Bareiss 1968, Edmonds 1967); a row with a
+    zero in the pivot column still moves to the new denominator.  The
+    pivot row itself is unchanged.  D stays positive: after a negative
+    pivot every row changes sign.
     """
-    m = len(tab)
-    ncols = len(cost)
+    prow = rows[r]
+    p = prow[e]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[e]
+        if f:
+            rows[i] = [(a * p - f * b) // D for a, b in zip(row, prow)]
+        elif p != D:
+            rows[i] = [a * p // D for a in row]
+    if p < 0:
+        rows[:] = [[-a for a in row] for row in rows]
+        return -p
+    return p
+
+
+def _simplex(rows, m, basis, ncols, D) -> tuple:
+    """Maximize over the basic-feasible tableau rows[:m], Bland's rule.
+
+    rows[m] holds D times the reduced costs of the first ncols columns,
+    and -D times the objective value as its last entry.  Returns
+    ('optimal' or 'unbounded', D).
+    """
+    red = rows[m]
     while True:
-        cb = [cost[basis[i]] for i in range(m)]
-        entering = None
-        for j in range(ncols):
-            red = cost[j] - sum(cb[i] * tab[i][j] for i in range(m))
-            if red > 0:
-                entering = j
-                break
-        if entering is None:
-            return "optimal"
-        best = None
+        e = next((j for j in range(ncols) if red[j] > 0), None)
+        if e is None:
+            return "optimal", D
         leave = None
         for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = rhs[i] / tab[i][entering]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            a = rows[i][e]
+            if a > 0:
+                if leave is None:
+                    leave, num, den = i, rows[i][-1], a
+                    continue
+                lhs, rhs = rows[i][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, rows[i][-1], a
         if leave is None:
-            return "unbounded"
-        _pivot(tab, rhs, basis, leave, entering)
+            return "unbounded", D
+        D = _integer_pivot(rows, leave, e, D)
+        basis[leave] = e
+        red = rows[m]
 
 
 def solve_lp(problem: LPProblem) -> LPResult:
-    """Exact simplex.  Splits free variables, two phases, Bland's rule."""
+    """Exact two-phase simplex on a fraction-free integer tableau.
+
+    A variable with a lower bound becomes lo + y, one with only an upper
+    bound up - y, with y >= 0; only free variables are split.  Each row
+    is scaled to integers once, and every tableau entry stays an integer
+    over one common denominator (see _integer_pivot).  '<=' rows with
+    b >= 0 start with their slack basic, the other rows with an
+    artificial.  Bland's rule in both phases, so cycling is impossible.
+    An optimal result carries an optimal x; which one, when there are
+    several, is unspecified.
+    """
     n = len(problem.c)
-    c = [Fraction(x) for x in problem.c]
-    if not problem.maximize:
-        c = [-x for x in c]
-
-    rows = []
-    for row, sense, rhs in zip(problem.A, problem.senses, problem.b):
-        if sense not in ("<=", "=", ">="):
-            raise LPError(f"unknown sense {sense!r}")
-        rows.append(([Fraction(x) for x in row], sense, Fraction(rhs)))
-    for j, lo in enumerate(problem.lower):
+    cols = []            # (variable, +1 or -1) for each column
+    offset = [0] * n
+    bound_rows = []      # (column, up - lo)
+    for j, (lo, up) in enumerate(zip(problem.lower, problem.upper)):
         if lo is not None:
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            rows.append((e, ">=", Fraction(lo)))
-    for j, up in enumerate(problem.upper):
-        if up is not None:
-            e = [Fraction(0)] * n
-            e[j] = Fraction(1)
-            rows.append((e, "<=", Fraction(up)))
+            offset[j] = lo
+            cols.append((j, 1))
+            if up is not None:
+                bound_rows.append((len(cols) - 1, up - lo))
+        elif up is not None:
+            offset[j] = up
+            cols.append((j, -1))
+        else:
+            cols.append((j, 1))
+            cols.append((j, -1))
+    k = len(cols)
 
-    if not rows:
-        if all(x == 0 for x in c):
-            zero = tuple(Fraction(0) for _ in range(n))
-            return LPResult("optimal", zero, Fraction(0))
-        return LPResult("unbounded", None, None)
+    lines = []
+    for a, sense, rhs in zip(problem.A, problem.senses, problem.b):
+        rhs = rhs - sum(aj * oj for aj, oj in zip(a, offset) if oj)
+        row = clear_denominators([a[j] * s for j, s in cols] + [rhs])
+        lines.append((row, sense))
+    for col, width in bound_rows:
+        line = [0] * k + [width]
+        line[col] = 1
+        lines.append((clear_denominators(line), "<="))
 
-    m = len(rows)
-    nslack = sum(1 for _, sense, _ in rows if sense != "=")
-    width = 2 * n + nslack + m          # u, v, slacks, artificials
-    tab = []
-    rhs = []
-    si = 0
-    for i, (row, sense, bb) in enumerate(rows):
-        line = [Fraction(0)] * width
-        for j in range(n):
-            line[j] = row[j]
-            line[n + j] = -row[j]
+    ns = sum(1 for _, sense in lines if sense != "=")
+    ncols = k + ns       # artificial columns never enter, so none is kept
+    rows = []
+    basis = []
+    art = []
+    slack = k
+    for i, (line, sense) in enumerate(lines):
+        if line[-1] < 0:
+            line = [-v for v in line]
+            sense = _FLIP[sense]
+        row = list(line[:-1]) + [0] * ns + [line[-1]]
         if sense == "<=":
-            line[2 * n + si] = Fraction(1)
-            si += 1
-        elif sense == ">=":
-            line[2 * n + si] = Fraction(-1)
-            si += 1
-        if bb < 0:
-            line = [-a for a in line]
-            bb = -bb
-        line[2 * n + nslack + i] = Fraction(1)
-        tab.append(line)
-        rhs.append(bb)
+            row[slack] = 1
+            basis.append(slack)
+        else:
+            if sense == ">=":
+                row[slack] = -1
+            basis.append(ncols + i)
+            art.append(row)
+        if sense != "=":
+            slack += 1
+        rows.append(row)
+    m = len(rows)
+    sign = 1 if problem.maximize else -1
+    cost = clear_denominators([sign * problem.c[j] * s for j, s in cols])
+    rows.append(list(cost) + [0] * (ns + 1))
 
-    basis = [2 * n + nslack + i for i in range(m)]
+    D = 1
+    if art:
+        # phase one: maximize minus the sum of the artificials
+        rows.insert(m, [sum(col) for col in zip(*art)])
+        _, D = _simplex(rows, m, basis, ncols, D)
+        if rows[m][-1]:
+            return LPResult("infeasible", None, None)
+        del rows[m]
+        # pivot artificials left at zero out of the basis, or drop their
+        # rows when redundant
+        i = 0
+        while i < len(basis):
+            if basis[i] >= ncols:
+                e = next((j for j in range(ncols) if rows[i][j]), None)
+                if e is None:
+                    del rows[i], basis[i]
+                    continue
+                D = _integer_pivot(rows, i, e, D)
+                basis[i] = e
+            i += 1
+        m = len(basis)
 
-    # phase one: drive artificials to zero
-    phase1 = [Fraction(0)] * width
-    for i in range(m):
-        phase1[2 * n + nslack + i] = Fraction(-1)
-    _simplex_max(tab, rhs, basis, phase1)
-    p1val = sum(phase1[basis[i]] * rhs[i] for i in range(m))
-    if p1val != 0:
-        return LPResult("infeasible", None, None)
-
-    # pivot leftover artificials out of the basis (or drop redundant rows)
-    drop = []
-    for i in range(m):
-        if basis[i] >= 2 * n + nslack:
-            col = next((j for j in range(2 * n + nslack) if tab[i][j] != 0), None)
-            if col is None:
-                drop.append(i)
-            else:
-                _pivot(tab, rhs, basis, i, col)
-    if drop:
-        tab = [row for i, row in enumerate(tab) if i not in drop]
-        rhs = [v for i, v in enumerate(rhs) if i not in drop]
-        basis = [v for i, v in enumerate(basis) if i not in drop]
-
-    # phase two on the real objective, artificial columns frozen
-    cost = [Fraction(0)] * width
-    for j in range(n):
-        cost[j] = c[j]
-        cost[n + j] = -c[j]
-    # forbid artificial re-entry by truncating candidate columns
-    for i in range(len(tab)):
-        tab[i] = tab[i][: 2 * n + nslack]
-    cost = cost[: 2 * n + nslack]
-
-    status = _simplex_max(tab, rhs, basis, cost)
+    status, D = _simplex(rows, m, basis, ncols, D)
     if status == "unbounded":
         return LPResult("unbounded", None, None)
-    xfull = [Fraction(0)] * (2 * n + nslack)
-    for i, bi in enumerate(basis):
-        if bi < len(xfull):
-            xfull[bi] = rhs[i]
-    x = tuple(xfull[j] - xfull[n + j] for j in range(n))
+    x = [Fraction(o) for o in offset]
+    for i, col in enumerate(basis):
+        if col < k and rows[i][-1]:
+            j, s = cols[col]
+            x[j] += s * Fraction(rows[i][-1], D)
+    x = tuple(x)
     value = dot([Fraction(v) for v in problem.c], x)
     return LPResult("optimal", x, value)
 

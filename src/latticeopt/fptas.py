@@ -208,19 +208,18 @@ def _box_gf_sum(P, lo, hi, f, k):
     return weighted_sum(g, f.monomials, power=k)
 
 
-def _recover(P: Polyhedron, f: SparsePolynomial, target: Optional[tuple],
-             kprime: int, pruned_log: Optional[list] = None):
-    """Best feasible point found by longest-edge bisection.
+def _recover(P: Polyhedron, box: tuple, f: SparsePolynomial,
+             target: Optional[tuple], kprime: int,
+             pruned_log: Optional[list] = None):
+    """Best feasible point found by longest-edge bisection of `box`.
 
-    `target` is (T, k) encoding the threshold T^(1/k); the search stops
-    as soon as a point certified >= the threshold is in hand.  Pruning
-    compares sums of f^kprime exactly: a box whose sum is below
-    threshold^kprime cannot contain a point reaching the threshold.
-    Needs f >= 0 on the feasible points.
+    `box` is bounding_box(P) of a nonempty P.  `target` is (T, k)
+    encoding the threshold T^(1/k); the search stops as soon as a point
+    certified >= the threshold is in hand.  Pruning compares sums of
+    f^kprime exactly: a box whose sum is below threshold^kprime cannot
+    contain a point reaching the threshold.  Needs f >= 0 on the
+    feasible points.
     """
-    box = bounding_box(P)
-    if box is None:
-        return None
     best: Optional[tuple[Fraction, IntVec]] = None
 
     def meets_target(value: Fraction) -> bool:
@@ -304,22 +303,22 @@ def maximize(P: Polyhedron, f: SparsePolynomial, eps
     if N == 0:
         raise ValueError("polytope has no lattice points")
     N = int(N)
+    box = bounding_box(P)
 
     if N == 1:
         # no pruning: f may be negative at the unique point
-        best = _recover(P, f, None, 1)
+        best = _recover(P, box, f, None, 1)
         x = best[1]
         return x, MaximizeReport(value=f.evaluate(x), guarantee="exact",
                                  epsilon=eps, N=1)
 
-    box = bounding_box(P)
     lb, ub = _interval_bound(f, *box)
     kprime = 3
 
     if lb >= 0:
         k = choose_k(N, eps)
         S, rep = _bounds_from_gf(g, N, f, k)
-        x = _recover(P, f, (S / N, k), kprime)[1]
+        x = _recover(P, box, f, (S / N, k), kprime)[1]
         return x, MaximizeReport(value=f.evaluate(x), guarantee="relative",
                                  epsilon=eps, N=N, k=k,
                                  L_k=rep.L_k, U_k=rep.U_k)
@@ -377,7 +376,7 @@ def maximize(P: Polyhedron, f: SparsePolynomial, eps
             # range certified below the value granularity: f is constant
             # on the feasible points, any of them is optimal
             shifted = f.plus_constant(-m)
-            x = _recover(P, shifted, (Fraction(0), 1), kprime)[1]
+            x = _recover(P, box, shifted, (Fraction(0), 1), kprime)[1]
             return x, MaximizeReport(value=f.evaluate(x), guarantee="exact",
                                      epsilon=eps, N=N, shift=-m, scale=sigma)
         sigma *= 4
@@ -389,7 +388,7 @@ def maximize(P: Polyhedron, f: SparsePolynomial, eps
     shifted = f.plus_constant(-m)
     k = choose_k(N, delta)
     S, rep = _bounds_from_gf(g, N, shifted, k)
-    x = _recover(P, shifted, (S / N, k), kprime)[1]
+    x = _recover(P, box, shifted, (S / N, k), kprime)[1]
     return x, MaximizeReport(
         value=f.evaluate(x), guarantee="shifted-range",
         epsilon=eps, N=N, k=k, L_k=rep.L_k, U_k=rep.U_k,

@@ -320,7 +320,11 @@ def _is_pointed(rays) -> bool:
 
 
 def _interior_functional(rays) -> tuple:
-    """c with <c, r> > 0 for every ray of a pointed cone."""
+    """c with <c, r> > 0 for every ray of a pointed cone.
+
+    Which such c comes back is unspecified (the LP reports an optimal
+    point, not a particular one); callers rely only on the strict sign.
+    """
     s = tuple(sum(col) for col in zip(*rays))
     if all(dot(s, r) > 0 for r in rays):
         return s
@@ -341,6 +345,11 @@ def _fan_2d(rays) -> list:
     """Consecutive pairs of the angularly sorted rays of a pointed 2-D cone.
 
     Interior rays are kept as subdivision points, so n rays give n-1 pieces.
+    The fan does not depend on which interior functional c is used: every
+    ray lies in the open half-plane <c, .> > 0, where the slope
+    <c_perp, r> / <c, r> grows with the counterclockwise angle of r, so
+    sorting by it gives the angular order of the rays, which belongs to
+    the cone alone.
     """
     uniq = sorted(set(primitive(r) for r in rays))
     if len(uniq) == 1:

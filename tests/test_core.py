@@ -2,7 +2,7 @@
 
 Oracles here are deliberately independent of the implementations they check:
 determinants via cofactor expansion, LP optima via tight-row basis
-enumeration.
+enumeration and via the replaced Fraction-tableau simplex (lp_reference).
 """
 
 import itertools
@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lp_reference
 from latticeopt.core import (
+    LPError,
     LPProblem,
     ceil_mul_ln,
     det,
@@ -323,6 +325,131 @@ def test_lp_rational_data():
     r = solve_lp(p)
     assert r.status == "optimal"
     assert r.x[0] == Fraction(15, 14)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(c=(1,), A=((1,),), b=(5, 2), senses=("<=", "<=")),
+    dict(c=(1,), A=((1,), (1,)), b=(5,), senses=("<=", "<=")),
+    dict(c=(1,), A=((1,), (1,)), b=(5, 2), senses=("<=",)),
+    dict(c=(1, 1), A=((1,),), b=(5,), senses=("<=",)),
+    dict(c=(1,), A=((1, 1),), b=(5,), senses=("<=",)),
+    dict(c=(1, 1), A=(), b=(), senses=(), lower=(0,)),
+    dict(c=(1,), A=(), b=(), senses=(), upper=(0, 0)),
+    dict(c=(1,), A=((1,),), b=(5,), senses=("<",)),
+])
+def test_lp_problem_rejects_mismatched_shapes(fields):
+    # zipping rows, senses and right-hand sides would silently drop rows
+    with pytest.raises(LPError):
+        LPProblem(**fields)
+
+
+def _random_lp(rng):
+    """n 1-4, m 0-5, denominators 1/2/3/7, every sense and bound kind.
+
+    Half the instances take their right-hand sides through a point
+    inside the bounds, so that all three statuses come up often.
+    """
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+
+    n = rng.randint(1, 4)
+    m = rng.randint(0, 5)
+    through_point = rng.random() < 0.5
+    lower = tuple(rng.choice((None, 0, q())) for _ in range(n))
+    upper = tuple(
+        None if rng.random() < 0.5 else q() if lo is None
+        else lo + (abs(q()) if through_point else q())
+        for lo in lower)
+    A = tuple(tuple(q() for _ in range(n)) for _ in range(m))
+    senses = tuple(rng.choice(("<=", "=", ">=")) for _ in range(m))
+    if through_point:
+        x0 = tuple(lo if lo is not None else up if up is not None else q()
+                   for lo, up in zip(lower, upper))
+        slack = {"<=": 1, "=": 0, ">=": -1}
+        b = tuple(dot(a, x0) + slack[s] * abs(q()) * rng.randint(0, 1)
+                  for a, s in zip(A, senses))
+    else:
+        b = tuple(q() for _ in range(m))
+    return LPProblem(c=tuple(q() for _ in range(n)), A=A, b=b, senses=senses,
+                     lower=lower, upper=upper, maximize=rng.random() < 0.5)
+
+
+def _assert_feasible(p, x):
+    for a, s, rhs in zip(p.A, p.senses, p.b):
+        v = dot(a, x)
+        assert v <= rhs if s == "<=" else v >= rhs if s == ">=" else v == rhs
+    for v, lo, up in zip(x, p.lower, p.upper):
+        assert lo is None or v >= lo
+        assert up is None or v <= up
+
+
+def test_lp_matches_reference_kernel():
+    rng = random.Random(2024)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(2400):
+        p = _random_lp(rng)
+        res = solve_lp(p)
+        ref = lp_reference.solve_lp(p)
+        assert (res.status, res.value) == (ref.status, ref.value), p
+        statuses[res.status] += 1
+        if res.status == "optimal":
+            _assert_feasible(p, res.x)
+            assert dot(p.c, res.x) == res.value
+    assert min(statuses.values()) >= 300, statuses
+
+
+def test_lp_slack_rows_with_fractions_over_several_pivots():
+    # every row is '<=' with b >= 0, so every slack starts basic; the rows
+    # are cleared of denominators by different factors, and three pivots
+    # follow, each of which must bring every row, also one with a zero
+    # in the pivot column, to the new common denominator, or a later
+    # division by it rounds
+    F = Fraction
+    p = LPProblem(c=(1, 1, 1),
+                  A=((F(1, 2), F(1, 3), 0),
+                     (0, F(2, 3), F(3, 7)),
+                     (F(1, 3), 0, F(1, 2)),
+                     (F(1, 7), F(1, 7), F(1, 7))),
+                  b=(F(5, 7), F(1, 2), F(2, 3), F(1, 3)),
+                  senses=("<=",) * 4, lower=(0, 0, 0))
+    res = solve_lp(p)
+    ref = lp_reference.solve_lp(p)
+    assert res.status == "optimal"
+    assert res.value == ref.value == F(533, 252)
+    _assert_feasible(p, res.x)
+    assert sum(1 for v in res.x if v) == 3
+
+
+def test_lp_shifted_bounds_report_original_coordinates():
+    # min 2x + y, x + y >= 3, x >= 1, -2 <= y <= 1/2: the vertex (5/2, 1/2)
+    p = LPProblem(c=(2, 1), A=((1, 1),), b=(3,), senses=(">=",),
+                  lower=(1, -2), upper=(None, Fraction(1, 2)),
+                  maximize=False)
+    res = solve_lp(p)
+    assert res.status == "optimal"
+    assert res.x == (Fraction(5, 2), Fraction(1, 2))
+    assert res.value == Fraction(11, 2)
+    # an upper bound alone: max x stops at 7/2, max -x is unbounded
+    up = dict(A=(), b=(), senses=(), upper=(Fraction(7, 2),))
+    assert solve_lp(LPProblem(c=(1,), **up)).x == (Fraction(7, 2),)
+    assert solve_lp(LPProblem(c=(-1,), **up)).status == "unbounded"
+
+
+def test_lp_bounds_without_rows():
+    # the bound is no row here; test_lp_unbounded covers c=(1,), lower=(0,)
+    res = solve_lp(LPProblem(c=(-1,), A=(), b=(), senses=(), lower=(3,)))
+    assert res.status == "optimal"
+    assert res.x == (3,) and res.value == -3
+
+
+def test_lp_redundant_equality_row_is_dropped():
+    # the second row repeats the first, so an artificial stays basic at
+    # zero after phase one with no column to pivot in
+    p = LPProblem(c=(1, 0), A=((1, 1), (2, 2)), b=(2, 4), senses=("=", "="),
+                  lower=(0, 0))
+    res = solve_lp(p)
+    assert res.status == "optimal"
+    assert res.x == (2, 0) and res.value == 2
 
 
 # ---------------------------------------------------------------------------

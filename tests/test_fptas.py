@@ -367,7 +367,8 @@ def test_recovery_prunes_only_safe_regions():
     k = choose_k(N, F(1, 2))
     S = weighted_sum(g, f.monomials, power=k)
     log = []
-    best = _recover(P, f, (S / N, k), 3, pruned_log=log)
+    best = _recover(P, bounding_box(P), f, (S / N, k), 3,
+                    pruned_log=log)
     assert best is not None
     assert best[0] ** k >= S / N
     assert log, "instance should exercise pruning"
