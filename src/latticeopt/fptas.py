@@ -30,7 +30,6 @@ from .core import (
 )
 from .genfunc import (
     GeneratingFunction,
-    _poly_mul,
     polyhedron_gf,
     specialize_at_one,
     weighted_sum,
@@ -88,17 +87,6 @@ class SparsePolynomial:
         return max((sum(e) for _, e in self.monomials), default=0)
 
 
-def power_polynomial(f: SparsePolynomial, k: int) -> SparsePolynomial:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    base = {e: c for c, e in f.monomials}
-    out = base
-    for _ in range(k - 1):
-        out = _poly_mul(out, base)
-    return SparsePolynomial(f.dimension,
-                            tuple((c, e) for e, c in out.items()))
-
-
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -152,7 +140,7 @@ def compute_bounds(P: Polyhedron, f: SparsePolynomial, k: int
 
 
 # ---------------------------------------------------------------------------
-# nonnegativity shift
+# interval bounds over a box
 
 def _interval_pow(lo: Fraction, hi: Fraction, e: int):
     if e == 0:
@@ -179,23 +167,6 @@ def _interval_bound(f: SparsePolynomial, lo: IntVec, hi: IntVec):
                     iv, _interval_pow(Fraction(lo[i]), Fraction(hi[i]), ei))
         total = (total[0] + iv[0], total[1] + iv[1])
     return total
-
-
-def nonneg_shift(f: SparsePolynomial, P: Polyhedron
-                 ) -> tuple[SparsePolynomial, Fraction]:
-    """Shift f so it is certified nonnegative on P's lattice points.
-
-    The certificate is interval arithmetic over the bounding box; the
-    returned constant C is zero when the box bound already proves
-    nonnegativity, and the shift amount otherwise.
-    """
-    box = bounding_box(P)
-    if box is None:
-        return f, Fraction(0)
-    lb, _ = _interval_bound(f, *box)
-    if lb >= 0:
-        return f, Fraction(0)
-    return f.plus_constant(-lb), -lb
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,11 @@ inclusion-exclusion over faces.
 Specializing z -> 1 goes through the substitution z_i = (1+t)^(mu_i)
 with mu chosen off every denominator hyperplane; a polynomial-weighted
 sum then reduces to exact coefficient extraction in truncated power
-series over Fraction, and counting is the weighted sum with weight 1.
+series, and counting is the weighted sum with weight 1.  The series are
+kept in integers: with s = mu.b, the coefficient of t^i in
+t^(m+1) sum_nu nu^m (1+t)^(s nu) is an integer h_m[i] over
+s^(i+m+1), and the h_m obey recurrences with no division, so each term
+ends in a single Fraction.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -305,47 +310,17 @@ def polyhedron_gf(P: Polyhedron) -> GeneratingFunction:
 
 
 # ---------------------------------------------------------------------------
-# power series in t for the substitution z = (1+t)^mu
+# integer series in t for the substitution z = (1+t)^mu
 
-def _binom(e: int, k: int) -> int:
-    if k < 0:
-        return 0
-    if e >= 0:
-        return math.comb(e, k) if k <= e else 0
-    return (-1) ** k * math.comb(k - e - 1, k)
+def _binomials(e: int, n: int) -> list[int]:
+    """binom(e, i) for i = 0..n; e is any integer, negative too.
 
-
-def _series_mul(a, b, L):
-    out = [Fraction(0)] * (L + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > L:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > L:
-                break
-            if bj:
-                out[i + j] += ai * bj
+    Each step divides exactly: binom(e, i) * i = binom(e, i-1) * (e-i+1).
+    """
+    out = [1]
+    for i in range(1, n + 1):
+        out.append(out[-1] * (e - i + 1) // i)
     return out
-
-
-def _series_inv(a, L):
-    if a[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv0 = 1 / Fraction(a[0])
-    out = [Fraction(0)] * (L + 1)
-    out[0] = inv0
-    for k in range(1, L + 1):
-        s = Fraction(0)
-        for i in range(1, min(k, len(a) - 1) + 1):
-            if a[i]:
-                s += a[i] * out[k - i]
-        out[k] = -s * inv0
-    return out
-
-
-def _u_series(s: int, L: int):
-    # (1 - (1+t)^s) / t, constant term -s
-    return [Fraction(-_binom(s, k + 1)) for k in range(L + 1)]
 
 
 def _moment_direction(vectors, d: int) -> IntVec:
@@ -364,6 +339,41 @@ def _moment_direction(vectors, d: int) -> IntVec:
                 if all(dot(mu, b) != 0 for b in vectors))
 
 
+def _orthant_rows(s: int, R: int, E: int) -> list[list[int]]:
+    """Scaled coefficients of t^(R-m) H_m, m = 0..R, truncated at t^E.
+
+    H_m = t^(m+1) sum_{nu>=0} nu^m (1+t)^(s nu) has H_m[i] = h_m[i] /
+    s^(i+m+1) with integer h_m, built with no division: H_0 = 1/u for
+    u = (1 - (1+t)^s)/t, whose coefficients a_j = -binom(s, j+1) start
+    at a_0 = -s, so clearing s^(i+1) from the inversion recurrence leaves
+
+        h_0[0] = -1,  h_0[i] = sum_{j=1..i} a_j s^(j-1) h_0[i-j],
+
+    and H_m = (1+t)(t H_{m-1}' - m H_{m-1}) / s becomes
+
+        h_m[i] = (i-m) h_{m-1}[i] + s (i-1-m) h_{m-1}[i-1].
+
+    Row m is t^(R-m) H_m times s^(E+R+1), read from t^(R-m) on:
+    row[i] = h_m[i] s^(E+R-m-i) for i = 0..E-R+m, all integers.
+    """
+    a = _binomials(s, E + 1)
+    coef = [-a[j + 1] * s ** (j - 1) for j in range(1, E + 1)]
+    h = [-1]
+    for i in range(1, E + 1):
+        h.append(sum(map(mul, coef[:i], reversed(h))))
+    spow = [1]
+    for _ in range(E + R):
+        spow.append(spow[-1] * s)
+    rows = []
+    for m in range(R + 1):
+        if m:
+            h = [(i - m) * h[i] + (s * (i - 1 - m) * h[i - 1] if i else 0)
+                 for i in range(E + 1)]
+        rows.append([h[i] * spow[E + R - m - i]
+                     for i in range(E - R + m + 1)])
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # weighted specialization
 
@@ -373,58 +383,87 @@ def _monomials_of(h) -> tuple[Monomial, ...]:
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[IntVec, Fraction] = {}
+    out: dict[IntVec, int] = {}
     for ea, ca in p.items():
         for eb, cb in q.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_pow(p: dict, n: int) -> dict:
+    """p**n for n >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else _poly_mul(out, p)
+        n >>= 1
+        if not n:
+            return out
+        p = _poly_mul(p, p)
 
 
 def _rebase_polynomial(mons, a: IntVec, bs: Sequence[IntVec]) -> dict:
-    """Expand h(a + sum_j nu_j b_j) as a polynomial in nu."""
+    """Expand h(a + sum_j nu_j b_j) as a polynomial in nu.
+
+    `mons` are (integer coefficient, exponent) pairs, so the result has
+    integer coefficients.
+    """
     k = len(bs)
+    zero = (0,) * k
     lin = []
     for i in range(len(a)):
-        p = {(0,) * k: Fraction(a[i])}
+        p = {zero: a[i]}
         for j in range(k):
             if bs[j][i]:
-                e = tuple(1 if r == j else 0 for r in range(k))
-                p[e] = p.get(e, Fraction(0)) + bs[j][i]
-        lin.append({e: c for e, c in p.items() if c != 0})
-    out: dict[IntVec, Fraction] = {}
+                p[tuple(1 if r == j else 0 for r in range(k))] = bs[j][i]
+        lin.append({e: c for e, c in p.items() if c})
+    out: dict[IntVec, int] = {}
     pow_cache: dict[tuple[int, int], dict] = {}
 
     def lin_pow(i, e):
         if e == 0:
-            return {(0,) * k: Fraction(1)}
+            return {zero: 1}
         if (i, e) not in pow_cache:
             pow_cache[(i, e)] = _poly_mul(lin_pow(i, e - 1), lin[i])
         return pow_cache[(i, e)]
 
     for cf, beta in mons:
-        p = {(0,) * k: cf}
+        p = {zero: cf}
         for i, bi in enumerate(beta):
             if bi:
                 p = _poly_mul(p, lin_pow(i, bi))
         for e, c in p.items():
-            out[e] = out.get(e, Fraction(0)) + c
-    return {e: c for e, c in out.items() if c != 0}
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
-def _geometric_moment_series(s: int, top: int, L: int) -> list:
-    """H_m = t^(m+1) * sum_nu nu^m (1+t)^(s nu) for m = 0..top, truncated."""
-    u = _u_series(s, L)
-    H = [_series_inv(u, L)]
-    for m in range(1, top + 1):
-        prev = H[-1]
-        v = [(k - m) * prev[k] for k in range(L + 1)]
-        nxt = [Fraction(0)] * (L + 1)
-        for kk in range(L + 1):
-            w = v[kk] + (v[kk - 1] if kk else 0)
-            nxt[kk] = Fraction(w, s)
-        H.append(nxt)
-    return H
+def _orthant_functional(rows: list, w: list, items: list, j: int = 0) -> int:
+    """sum_p w[p] C[p] for the series C = sum_items c prod_j row_j,
+    with row_j = rows[j][e_j] placed at t^(R_j - e_j), over coordinates
+    j.., computed without forming C.
+
+    A factor r placed at t^lo moves the functional to its correlation
+    with r: sum_p w[p] (t^lo r * inner)[p] = sum_q w'[q] inner[q] with
+    w'[q] = sum_i w[q + lo + i] r[i].  Past the last coordinate the
+    inner series is the constant sum of the coefficients, so there only
+    w'[0] is needed: one dot product per group.
+    """
+    if j == len(rows):
+        return w[0] * sum(c for _, c in items)
+    groups: dict[int, list] = {}
+    for e, c in items:
+        groups.setdefault(e[j], []).append((e, c))
+    top = len(rows[j]) - 1
+    last = j == len(rows) - 1
+    total = 0
+    for m, sub in groups.items():
+        row = rows[j][m]
+        lo = top - m
+        n = 1 if last else len(w) - lo
+        inner = [sum(map(mul, w[q + lo:], row)) for q in range(n)]
+        total += _orthant_functional(rows, inner, sub, j + 1)
+    return total
 
 
 def weighted_sum(g: GeneratingFunction, h, power: int = 1) -> Fraction:
@@ -433,8 +472,19 @@ def weighted_sum(g: GeneratingFunction, h, power: int = 1) -> Fraction:
     Requires freshly decomposed terms (single unit monomial numerators,
     multiplicity-one denominators): each such term is literally the
     geometric series over its own shifted orthant, so h is rewritten in
-    orthant coordinates and summed factor by factor.  Raising to `power`
-    happens after the rewrite, where the polynomial stays small.
+    orthant coordinates nu and summed factor by factor.
+
+    Everything inside a term is integer arithmetic.  h is scaled once by
+    the lcm `den` of its coefficient denominators; the rebased
+    polynomial is raised to `power` by squaring.  With s_j = mu.b_j, the
+    orthant series of coordinate j are scaled by s_j^(E+R_j+1), where
+    R_j is nu_j's degree and E = k + sum R_j the pole order, which makes
+    every coefficient an integer (see _orthant_rows).  The term's value
+    is the linear functional sum_p binom(mu.a, E-p) C[p] of the
+    collapsed series C, pushed down the coordinates by
+    _orthant_functional, so each term ends in one division:
+    num / (den^power * prod_j s_j^(E+R_j+1)).  Counting is this sum with
+    weight 1.
     """
     mons = _monomials_of(h)
     if power < 1:
@@ -443,6 +493,9 @@ def weighted_sum(g: GeneratingFunction, h, power: int = 1) -> Fraction:
         return Fraction(0)
     vectors = {b for t in g.terms for b, _ in t.denominator}
     mu = _moment_direction(vectors, g.dimension)
+    den = math.lcm(*(c.denominator for c, _ in mons))
+    int_mons = tuple((c.numerator * (den // c.denominator), e)
+                     for c, e in mons)
 
     total = Fraction(0)
     for t in g.terms:
@@ -451,40 +504,17 @@ def weighted_sum(g: GeneratingFunction, h, power: int = 1) -> Fraction:
         c0, a = t.numerator[0]
         bs = [b for b, _ in t.denominator]
         k = len(bs)
-        base = _rebase_polynomial(mons, a, bs)
-        poly = base
-        for _ in range(power - 1):
-            poly = _poly_mul(poly, base)
-        if k == 0:
-            total += t.sign * c0 * sum(poly.values())
-            continue
+        poly = _poly_pow(_rebase_polynomial(int_mons, a, bs), power)
         R = [max((e[j] for e in poly), default=0) for j in range(k)]
         E = k + sum(R)
-        Hs = [_geometric_moment_series(dot(mu, bs[j]), R[j], E)
-              for j in range(k)]
-
-        def collapse(j: int, items: list) -> list:
-            if j == k:
-                out = [Fraction(0)] * (E + 1)
-                out[0] = sum(c for _, c in items)
-                return out
-            groups: dict[int, list] = {}
-            for e, c in items:
-                groups.setdefault(e[j], []).append((e, c))
-            acc = [Fraction(0)] * (E + 1)
-            for m, sub in sorted(groups.items()):
-                inner = collapse(j + 1, sub)
-                shift = R[j] - m
-                shifted = [Fraction(0)] * shift + Hs[j][m][:E + 1 - shift]
-                prod = _series_mul(shifted, inner, E)
-                for kk in range(E + 1):
-                    acc[kk] += prod[kk]
-            return acc
-
-        C = collapse(0, list(poly.items()))
-        e0 = dot(mu, a)
-        val = sum(_binom(e0, E - kk) * C[kk] for kk in range(E + 1))
-        total += t.sign * c0 * val
+        s = [dot(mu, b) for b in bs]
+        rows = [_orthant_rows(s[j], R[j], E) for j in range(k)]
+        w = _binomials(dot(mu, a), E)[::-1]
+        num = _orthant_functional(rows, w, list(poly.items()))
+        scale = den ** power
+        for sj, Rj in zip(s, R):
+            scale *= sj ** (E + Rj + 1)
+        total += t.sign * c0 * Fraction(num, scale)
     return total
 
 

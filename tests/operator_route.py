@@ -7,20 +7,74 @@ numerator monomials, repeated denominator factors); `specialize_general`
 then evaluates any such function at z = 1 by series expansion.
 """
 
+import math
 from fractions import Fraction
 
 from latticeopt.core import dot, vadd
-from latticeopt.genfunc import (
-    GeneratingFunction,
-    GFTerm,
-    _binom,
-    _moment_direction,
-    _monomials_of,
-    _series_inv,
-    _series_mul,
-    _u_series,
-)
+from latticeopt.genfunc import GeneratingFunction, GFTerm
 
+
+# ---------------------------------------------------------------------------
+# Fraction series helpers, private to the oracle so that it runs none of
+# the code it checks
+
+def _binom(e, k):
+    if k < 0:
+        return 0
+    if e >= 0:
+        return math.comb(e, k) if k <= e else 0
+    return (-1) ** k * math.comb(k - e - 1, k)
+
+
+def _series_mul(a, b, L):
+    out = [Fraction(0)] * (L + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > L:
+            continue
+        for j, bj in enumerate(b):
+            if i + j > L:
+                break
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _series_inv(a, L):
+    if a[0] == 0:
+        raise ZeroDivisionError("series has no inverse")
+    inv0 = 1 / Fraction(a[0])
+    out = [Fraction(0)] * (L + 1)
+    out[0] = inv0
+    for k in range(1, L + 1):
+        s = Fraction(0)
+        for i in range(1, min(k, len(a) - 1) + 1):
+            if a[i]:
+                s += a[i] * out[k - i]
+        out[k] = -s * inv0
+    return out
+
+
+def _u_series(s, L):
+    # (1 - (1+t)^s) / t, constant term -s
+    return [Fraction(-_binom(s, k + 1)) for k in range(L + 1)]
+
+
+def _monomials_of(h):
+    mons = getattr(h, "monomials", h)
+    return tuple((Fraction(c), tuple(int(x) for x in e)) for c, e in mons)
+
+
+def _default_direction(vectors, d):
+    # mu = (1, M, ..., M^(d-1)) for the least M off every hyperplane
+    # mu.b = 0; a nonzero b rules out at most d - 1 values of M
+    for M in range(1, len(vectors) * (d - 1) + 2):
+        mu = tuple(M ** i for i in range(d))
+        if all(dot(mu, b) != 0 for b in vectors):
+            return mu
+
+
+# ---------------------------------------------------------------------------
+# the operator route
 
 def _combine(terms):
     acc = {}
@@ -94,7 +148,7 @@ def specialize_general(g, direction=None):
         return Fraction(0)
     vectors = {b for t in g.terms for b, _ in t.denominator}
     if direction is None:
-        mu = _moment_direction(vectors, g.dimension)
+        mu = _default_direction(vectors, g.dimension)
     else:
         mu = tuple(int(x) for x in direction)
         if len(mu) != g.dimension:

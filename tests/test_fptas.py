@@ -14,11 +14,10 @@ from latticeopt.fptas import (
     choose_k,
     compute_bounds,
     maximize,
-    nonneg_shift,
-    power_polynomial,
 )
 from latticeopt.genfunc import polyhedron_gf, specialize_at_one, weighted_sum
 from latticeopt.polyhedra import Polyhedron, bounding_box, box_polyhedron
+from polynomial_power import power_polynomial
 
 F = Fraction
 
@@ -59,7 +58,7 @@ def poly(d, *mons):
 
 
 def naive_power(f, k):
-    # repeated naive multiplication, independent of _poly_mul
+    # repeated naive multiplication, independent of power_polynomial
     acc = {(0,) * f.dimension: F(1)}
     for _ in range(k):
         nxt = {}
@@ -252,34 +251,6 @@ def test_bounds_gap_inequality_random():
             # gap <= f* (N^(1/k) - 1), compared via k-th powers
             assert (gap + fstar) ** k <= fstar ** k * N or gap == 0
         done += 1
-
-
-# ---------------------------------------------------------------------------
-# shifting
-
-def test_shift_keeps_nonnegative_polynomial():
-    P = interval(0, 4)
-    f = poly(1, (2, (2,)), (3, (0,)))
-    g, C = nonneg_shift(f, P)
-    assert C == 0 and g.monomials == f.monomials
-
-
-def test_shift_linear_by_ten():
-    P = interval(0, 4)
-    f = poly(1, (1, (1,)), (-10, (0,)))
-    g, C = nonneg_shift(f, P)
-    assert C == 10
-    assert all(g.evaluate(p) == f.evaluate(p) + 10 for p in lattice_points(P))
-
-
-def test_shift_cross_term_brute_force():
-    P = box2(0, 2, 0, 2)
-    f = poly(2, (1, (2, 0)), (-3, (1, 1)))
-    g, C = nonneg_shift(f, P)
-    assert C >= 0
-    for p in lattice_points(P):
-        assert g.evaluate(p) >= 0
-        assert g.evaluate(p) == f.evaluate(p) + C
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from latticeopt.core import solve_rational, transpose
+from latticeopt.core import dot, solve_rational, transpose
+from latticeopt.fptas import SparsePolynomial
 from latticeopt.genfunc import (
     GeneratingFunction,
     GFTerm,
@@ -32,6 +33,7 @@ from latticeopt.polyhedra import (
     box_polyhedron,
 )
 from operator_route import apply_operator, specialize_general
+from polynomial_power import power_polynomial
 
 
 def brute_count(P):
@@ -43,7 +45,7 @@ def brute_count(P):
     return sum(1 for x in itertools.product(*ranges) if P.contains(x))
 
 
-def brute_weighted(P, mons):
+def brute_weighted(P, mons, power=1):
     box = bounding_box(P)
     if box is None:
         return Fraction(0)
@@ -52,11 +54,13 @@ def brute_weighted(P, mons):
     total = Fraction(0)
     for x in itertools.product(*ranges):
         if P.contains(x):
+            value = Fraction(0)
             for c, e in mons:
                 term = Fraction(c)
                 for xi, ei in zip(x, e):
                     term *= xi ** ei
-                total += term
+                value += term
+            total += value ** power
     return total
 
 
@@ -404,6 +408,78 @@ def test_weighted_sum_agrees_with_operator_route():
         slow = specialize_general(apply_operator(g, mons))
         assert fast == slow == brute_weighted(P, mons)
         done += 1
+
+
+def random_weight(rng, n):
+    # coefficient denominators 1, 2 and 3; exponents up to 2
+    return tuple((Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))),
+                  tuple(rng.randint(0, 2) for _ in range(n)))
+                 for _ in range(rng.randint(1, 3)))
+
+
+def flat_polyhedron(rng, n):
+    # sum x_i = t inside a box: the affine hull is a proper subspace, or
+    # a single point when the box is one point
+    lo = tuple(rng.randint(-2, 0) for _ in range(n))
+    hi = tuple(l + rng.randint(0, 3) for l in lo)
+    t = rng.randint(sum(lo), sum(hi))
+    box = box_polyhedron(lo, hi)
+    return Polyhedron(box.A + ((1,) * n, (-1,) * n), box.b + (t, -t))
+
+
+def differential_cases(rng):
+    """(P, weight, power): random, single-point and flat polytopes in
+    d = 1..3 with rational weights, powers 1..6, and a 1-D power >= 30
+    as the shifted-range path uses."""
+    for i in range(45):
+        n = 1 + i % 3
+        kind = (i // 3) % 3
+        if kind == 0:
+            P = random_bounded_polyhedron(rng, n)
+        elif kind == 1:
+            p = tuple(rng.randint(-3, 3) for _ in range(n))
+            P = box_polyhedron(p, p)
+        else:
+            P = flat_polyhedron(rng, n)
+        yield P, random_weight(rng, n), rng.randint(1, 6 if n < 3 else 4)
+    lo = rng.randint(-9, -1)
+    P = box_polyhedron((lo,), (lo + rng.randint(6, 14),))
+    yield P, ((Fraction(1, 2), (1,)), (Fraction(rng.randint(-5, 5), 3),
+                                       (0,))), 30
+
+
+def test_weighted_sum_differential():
+    rng = random.Random(41)
+    negative_s = no_denominator = 0
+    for P, mons, power in differential_cases(rng):
+        g = polyhedron_gf(P)
+        got = weighted_sum(g, mons, power)
+        assert got == brute_weighted(P, mons, power), (P, mons, power)
+        if P.dim < 3 or power < 3:
+            # the operator route runs on the expanded f^power; in d = 3
+            # at higher powers it takes too long for tier-1
+            expanded = power_polynomial(SparsePolynomial(P.dim, mons), power)
+            via_ops = specialize_general(apply_operator(g, expanded))
+            assert got == via_ops, (P, mons, power)
+        if g.terms:
+            vectors = {b for t in g.terms for b, _ in t.denominator}
+            mu = _moment_direction(vectors, P.dim)
+            negative_s += any(dot(mu, b) < 0 for b in vectors)
+            no_denominator += any(not t.denominator for t in g.terms)
+    assert negative_s >= 10 and no_denominator >= 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weighted_sum_power_equals_expanded_power(n):
+    # the kernel raises the rebased weight by squaring; the oracle
+    # expands f^k by repeated multiplication before summing
+    rng = random.Random(50 + n)
+    P = random_bounded_polyhedron(rng, n)
+    g = polyhedron_gf(P)
+    f = SparsePolynomial(n, random_weight(rng, n))
+    for k in range(1, 10 if n < 3 else 6):
+        assert weighted_sum(g, f, k) == \
+            weighted_sum(g, power_polynomial(f, k), 1), k
 
 
 def test_weighted_sum_rejects_processed_terms():

@@ -38,3 +38,46 @@ def test_every_import_is_used(module):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{module}: unused imports {unused}"
+
+
+# cli's --brute-force checks enumerate box points and test point-cloud
+# membership with polyrelax's own helpers, so the library keeps one copy
+# of each; no other private name crosses a module boundary
+PRIVATE_ALLOWED = {("cli.py", "polyrelax", "_box_points"),
+                   ("cli.py", "polyrelax", "_cloud_minimum")}
+
+
+def _private_imports(tree):
+    """(sibling, private name, line) for each private name the module
+    takes from a sibling: by `from .sibling import _name` (or the
+    absolute `latticeopt.sibling`), or as `sibling._name` after
+    `from . import sibling`."""
+    modules = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            sibling = node.module
+        elif node.level == 0 and node.module.split(".")[0] == "latticeopt":
+            sibling = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            if sibling is None:
+                modules[alias.asname or alias.name] = alias.name
+            elif alias.name.startswith("_"):
+                yield sibling, alias.name, node.lineno
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            yield modules[node.value.id], node.attr, node.lineno
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_from_siblings(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    found = [f"{sib}.{name} (line {line})"
+             for sib, name, line in _private_imports(tree)
+             if (module, sib, name) not in PRIVATE_ALLOWED]
+    assert not found, f"{module}: private sibling names {found}"

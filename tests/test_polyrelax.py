@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from latticeopt.core import LPProblem, dot, solve_lp
-from latticeopt.fptas import SparsePolynomial, power_polynomial
+from latticeopt.fptas import SparsePolynomial
 from latticeopt.polyhedra import is_empty
 from latticeopt.polyrelax import (
     build_lifted,
@@ -17,6 +17,7 @@ from latticeopt.polyrelax import (
     is_strictly_integer_convex,
     project_with_pi_leq_0,
 )
+from polynomial_power import power_polynomial
 
 F = Fraction
 
