@@ -32,7 +32,7 @@ from .core import (
     vadd,
     vneg,
 )
-from .graver import enumerate_fiber
+from .graver import fiber_maximum
 
 IntVec = tuple[int, ...]
 
@@ -232,13 +232,17 @@ def _direction_lp(A, w):
 
 
 def lip_oracle(A, b, u, w) -> LIPResult:
-    """max{w.x : Ax = b, 0 <= x <= u, x integer} by pruned enumeration.
+    """max{w.x : Ax = b, 0 <= x <= u, x integer} by a bounded search.
 
-    Ties resolve to the lexicographically smallest optimum.  With
-    u=None the fiber itself may be infinite: an improving nonnegative
-    kernel ray makes the problem unbounded, and otherwise some optimum
-    is a componentwise-minimal fiber point, so searching the minimal-
-    point box suffices.
+    One depth-first search in lexicographic order (graver's
+    fiber_maximum) prunes a prefix when the rows can no longer reach b
+    or when its value plus the most the remaining columns can add is no
+    better than the best point found so far.  Only a strictly better
+    point replaces that incumbent, so ties resolve to the
+    lexicographically smallest optimum.  With u=None the fiber itself
+    may be infinite: an improving nonnegative kernel ray makes the
+    problem unbounded, and otherwise some optimum is a componentwise-
+    minimal fiber point, so searching the minimal-point box suffices.
     """
     A = tuple(tuple(int(a) for a in row) for row in A)
     b = tuple(int(v) for v in b)
@@ -249,35 +253,25 @@ def lip_oracle(A, b, u, w) -> LIPResult:
     if len(w) != n:
         raise ValueError("objective length mismatch")
 
-    if u is not None:
+    free = u is None
+    if free:
+        relax = LPProblem(c=(Fraction(0),) * n,
+                          A=tuple(tuple(Fraction(a) for a in row)
+                                  for row in A),
+                          b=tuple(Fraction(v) for v in b),
+                          senses=("=",) * len(A),
+                          lower=(Fraction(0),) * n)
+        if solve_lp(relax).status == "infeasible":
+            return LIPResult("infeasible")
+        u = _minimal_point_box(A, b)
+    else:
         u = tuple(int(v) for v in u)
         if len(u) != n or any(v < 0 for v in u):
             raise ValueError("bounds must be nonnegative, one per column")
-        best = None
-        for x in enumerate_fiber(A, b, (0,) * n, u):
-            v = dot(w, x)
-            if best is None or v > best[0]:
-                best = (v, x)        # lex order: first hit stays on ties
-        if best is None:
-            return LIPResult("infeasible")
-        return LIPResult("optimal", best[1], best[0])
-
-    relax = LPProblem(c=(Fraction(0),) * n,
-                      A=tuple(tuple(Fraction(a) for a in row) for row in A),
-                      b=tuple(Fraction(v) for v in b),
-                      senses=("=",) * len(A),
-                      lower=(Fraction(0),) * n)
-    if solve_lp(relax).status == "infeasible":
-        return LIPResult("infeasible")
-    caps = _minimal_point_box(A, b)
-    best = None
-    for x in enumerate_fiber(A, b, (0,) * n, caps):
-        v = dot(w, x)
-        if best is None or v > best[0]:
-            best = (v, x)
+    best = fiber_maximum(A, b, (0,) * n, u, w)
     if best is None:
         return LIPResult("infeasible")
-    if _direction_lp(A, w) > 0:
+    if free and _direction_lp(A, w) > 0:
         return LIPResult("unbounded")
     return LIPResult("optimal", best[1], best[0])
 

@@ -17,7 +17,7 @@ form the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -209,31 +209,57 @@ def nfold_matrix(spec: NFoldSpec) -> IntMatrix:
 class SeparableConvexFn:
     """Sum of per-coordinate convex functions, compared exactly.
 
-    Evaluators map an integer to a Fraction.  Beyond direct evaluation
+    Evaluators map an integer to a Fraction and must be deterministic:
+    each f_i is evaluated at most once per integer, and the value is
+    kept in a per-coordinate table on the instance that `value`,
+    `compare` and `validate_convex` all read.  Beyond direct evaluation
     the object acts as the comparison oracle the optimality certificate
     is stated for.
     """
     evaluators: tuple[Callable[[int], Fraction], ...]
+    _tables: tuple[dict, ...] = field(init=False, repr=False,
+                                      compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tables",
+                           tuple({} for _ in self.evaluators))
 
     @property
     def dimension(self) -> int:
         return len(self.evaluators)
 
+    def _term(self, i: int, m: int) -> Fraction:
+        """f_i(m), evaluated on first use."""
+        table = self._tables[i]
+        try:
+            return table[m]
+        except KeyError:
+            v = table[m] = self.evaluators[i](m)
+            return v
+
     def value(self, x: Sequence[int]) -> Fraction:
         if len(x) != self.dimension:
             raise ValueError("point dimension mismatch")
-        return sum((f(int(v)) for f, v in zip(self.evaluators, x)),
+        return sum((self._term(i, int(v)) for i, v in enumerate(x)),
                    Fraction(0))
 
     def compare(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """-1, 0, or 1 as f(x) compares to f(y)."""
-        fx, fy = self.value(x), self.value(y)
-        return (fx > fy) - (fx < fy)
+        """-1, 0, or 1 as f(x) compares to f(y).
+
+        Only coordinates where x and y differ contribute to f(x) - f(y).
+        """
+        if len(x) != self.dimension or len(y) != self.dimension:
+            raise ValueError("point dimension mismatch")
+        diff = 0
+        for i, (a, c) in enumerate(zip(x, y)):
+            if a != c:
+                diff += self._term(i, int(a)) - self._term(i, int(c))
+        return (diff > 0) - (diff < 0)
 
     def validate_convex(self, l: Sequence[int], u: Sequence[int],
                         samples: int = 64) -> None:
         """Check f_i(m-1) + f_i(m+1) >= 2 f_i(m) on sampled integer m."""
-        for i, f in enumerate(self.evaluators):
+        for i in range(self.dimension):
             lo, hi = int(l[i]), int(u[i])
             if hi - lo <= samples:
                 points = range(lo, hi + 1)
@@ -241,7 +267,8 @@ class SeparableConvexFn:
                 step = (hi - lo) // samples
                 points = list(range(lo, hi + 1, step)) + [hi]
             for m in points:
-                if f(m - 1) + f(m + 1) < 2 * f(m):
+                if self._term(i, m - 1) + self._term(i, m + 1) \
+                        < 2 * self._term(i, m):
                     raise ValueError(
                         f"coordinate {i} fails convexity at {m}")
 
@@ -289,16 +316,25 @@ class SeparableConvexFn:
 # ---------------------------------------------------------------------------
 # optimality certificate and augmentation
 
-def _check_point(A, b, l, u, x) -> bool:
-    return all(l[i] <= x[i] <= u[i] for i in range(len(x))) \
-        and tuple(mat_vec(A, x)) == tuple(b)
+def _in_box(l, u, x) -> bool:
+    return all(l[i] <= x[i] <= u[i] for i in range(len(x)))
 
 
 def _require_feasible(A, b, l, u, x0) -> IntVec:
     x0 = tuple(int(v) for v in x0)
-    if not _check_point(A, b, l, u, x0):
+    if not (_in_box(l, u, x0) and tuple(mat_vec(A, x0)) == tuple(b)):
         raise ValueError("starting point is not feasible")
     return x0
+
+
+def _require_kernel(A, G: GraverBasis) -> None:
+    """A step along G keeps Ax = b only if G lies in the kernel of A.
+
+    G's own matrix needs no test: GraverBasis checks its elements
+    against it on construction.
+    """
+    if A != G.matrix and any(any(mat_vec(A, g)) for g in G):
+        raise ValueError("basis element outside the kernel of A")
 
 
 def check_optimality(x0, f: SeparableConvexFn, A, b, l, u,
@@ -306,13 +342,15 @@ def check_optimality(x0, f: SeparableConvexFn, A, b, l, u,
     """Certificate test: x0 is optimal iff no basis direction improves.
 
     Returns (True, None) or (False, g) with x0 + g feasible and
-    strictly better.
+    strictly better.  G must lie in the kernel of A (ValueError
+    otherwise), so x0 + g is feasible when it is inside the bounds.
     """
     A = _as_matrix(A)
+    _require_kernel(A, G)
     x0 = _require_feasible(A, b, l, u, x0)
     for g in G.signed_elements():
         y = vadd(x0, g)
-        if _check_point(A, b, l, u, y) and f.compare(y, x0) < 0:
+        if _in_box(l, u, y) and f.compare(y, x0) < 0:
             return False, g
     return True, None
 
@@ -355,9 +393,11 @@ def greedy_augment(x0, f: SeparableConvexFn, A, b, l, u,
 
     Each step minimizes f(x + alpha*g) jointly over basis directions g
     and integer alpha >= 1; ties prefer the smallest alpha, then the
-    lexicographically smallest g.
+    lexicographically smallest g.  G must lie in the kernel of A
+    (ValueError otherwise).
     """
     A = _as_matrix(A)
+    _require_kernel(A, G)
     x = _require_feasible(A, b, l, u, x0)
     f.validate_convex(l, u)
     directions = G.signed_elements()
@@ -384,14 +424,15 @@ def greedy_augment(x0, f: SeparableConvexFn, A, b, l, u,
 
 
 # ---------------------------------------------------------------------------
-# fiber enumeration and n-fold minimization
+# fiber search and n-fold minimization
 
-def enumerate_fiber(A, b, l, u):
-    """Yield the integer points of {x : Ax = b, l <= x <= u} in
-    lexicographic order.
+def _column_ranges(A, b, l, u):
+    """values(j, partial): the range of x_j that keeps b reachable.
 
-    DFS over coordinates, pruning any prefix whose remaining columns
-    cannot reach b by partial-sum intervals.
+    `partial` holds the row sums of columns 0..j-1.  Each row confines
+    A[i][j]*x_j to the interval left over by the least and greatest
+    sums columns j+1.. can add within their bounds, so the admissible
+    values of x_j form one integer range.
     """
     m, n = len(A), len(A[0]) if A else 0
     lo_tail = [[0] * m for _ in range(n + 1)]
@@ -402,19 +443,88 @@ def enumerate_fiber(A, b, l, u):
             lo_tail[j][i] = lo_tail[j + 1][i] + min(a * l[j], a * u[j])
             hi_tail[j][i] = hi_tail[j + 1][i] + max(a * l[j], a * u[j])
 
+    def values(j, partial):
+        vlo, vhi = l[j], u[j]
+        lo_rest, hi_rest = lo_tail[j + 1], hi_tail[j + 1]
+        for i in range(m):
+            a = A[i][j]
+            need = b[i] - partial[i]
+            need_lo, need_hi = need - hi_rest[i], need - lo_rest[i]
+            if a > 0:
+                vlo = max(vlo, -(-need_lo // a))
+                vhi = min(vhi, need_hi // a)
+            elif a < 0:
+                vlo = max(vlo, -(-need_hi // a))
+                vhi = min(vhi, need_lo // a)
+            elif need_lo > 0 or need_hi < 0:
+                return range(0)
+        return range(vlo, vhi + 1)
+
+    return values
+
+
+def enumerate_fiber(A, b, l, u):
+    """Yield the integer points of {x : Ax = b, l <= x <= u} in
+    lexicographic order.
+
+    DFS over coordinates; each coordinate runs only over the values
+    from which the remaining columns can still reach b, by partial-sum
+    intervals.
+    """
+    n = len(A[0]) if A else 0
+    values = _column_ranges(A, b, l, u)
+    x = [0] * n
+
     def rec(j, partial):
         if j == n:
             if all(p == bi for p, bi in zip(partial, b)):
-                yield ()
+                yield tuple(x)
             return
-        for v in range(l[j], u[j] + 1):
-            nxt = [p + A[i][j] * v for i, p in enumerate(partial)]
-            if all(nxt[i] + lo_tail[j + 1][i] <= b[i]
-                   <= nxt[i] + hi_tail[j + 1][i] for i in range(m)):
-                for rest in rec(j + 1, nxt):
-                    yield (v,) + rest
+        for v in values(j, partial):
+            x[j] = v
+            yield from rec(j + 1, [p + row[j] * v
+                                   for p, row in zip(partial, A)])
 
-    return rec(0, [0] * m)
+    return rec(0, [0] * len(A))
+
+
+def fiber_maximum(A, b, l, u, w) -> Optional[tuple[int, IntVec]]:
+    """(w.x, x) for the lexicographically first maximizer of w.x over
+    the integer points of {x : Ax = b, l <= x <= u}; None if there are
+    none.
+
+    The DFS of enumerate_fiber, in the same order and with the same
+    row pruning, that also cuts a prefix when its value plus the most
+    each remaining column can add, max(w_j*l_j, w_j*u_j), is no more
+    than the incumbent's.  A point replaces the incumbent only when it
+    is strictly better, so ties keep the first point found.
+    """
+    n = len(A[0]) if A else 0
+    values = _column_ranges(A, b, l, u)
+    w_tail = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        w_tail[j] = w_tail[j + 1] + max(w[j] * l[j], w[j] * u[j])
+    x = [0] * n
+    best = None
+
+    def rec(j, partial, value):
+        nonlocal best
+        if j == n:
+            if all(p == bi for p, bi in zip(partial, b)):
+                best = (value, tuple(x))
+            return
+        wj, rest = w[j], w_tail[j + 1]
+        for v in values(j, partial):
+            if best is not None and value + wj * v + rest <= best[0]:
+                if wj <= 0:
+                    break            # larger v only lowers the bound
+                continue
+            x[j] = v
+            rec(j + 1, [p + row[j] * v for p, row in zip(partial, A)],
+                value + wj * v)
+
+    rec(0, [0] * len(A), 0)
+    return best
 
 
 @dataclass(frozen=True)

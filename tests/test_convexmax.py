@@ -1,5 +1,6 @@
 """Composite convex maximization via edge directions and a LIP oracle."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -190,6 +191,68 @@ def test_lip_unbounded_mode_agrees_on_bounded_fibers():
         boxed = lip_oracle(A, b, (max(b[0], 1),) * 3, w)
         assert free == boxed
         done += 1
+
+
+def test_lip_oracle_differential():
+    """Seeded calls against a brute-force maximum over enumerate_fiber.
+
+    With bounds, the answer must be the lexicographically first
+    maximizer.  Without, an "unbounded" answer needs an improving
+    nonnegative kernel ray, and an "optimal" one needs none and must
+    match the maximum over any box that contains its point.
+    """
+    rng = random.Random(43)
+    seen = collections.Counter()
+    rays_box = range(0, 9)
+    for _ in range(500):
+        m = rng.randint(1, 2)
+        free = rng.random() < 0.3
+        n = rng.randint(1, 3 if m == 1 else 2) if free else rng.randint(1, 4)
+        A = random_matrix(rng, m, n)
+        w = tuple(rng.randint(-1, 1) for _ in range(n))
+        seed = tuple(rng.randint(0, 3) for _ in range(n))
+        b = tuple(dot(row, seed) for row in A)
+        if rng.random() < 0.25:
+            b = tuple(rng.randint(-3, 5) for _ in range(m))
+        seen["negative entry"] += any(a < 0 for row in A for a in row)
+        if not free:
+            u = tuple(v + rng.randint(0, 2) for v in seed)
+            res = lip_oracle(A, b, u, w)
+            pts = list(enumerate_fiber(A, b, (0,) * n, u))
+            if not pts:
+                assert res == LIPResult("infeasible")
+                seen["infeasible"] += 1
+                continue
+            best = max(dot(w, x) for x in pts)
+            tied = [x for x in pts if dot(w, x) == best]
+            assert res == LIPResult("optimal", tied[0], best)
+            # keeping the last of several tied points would differ
+            seen["tie"] += len(tied) > 1
+            continue
+        res = lip_oracle(A, b, None, w)
+        improving = any(any(r) and dot(w, r) > 0
+                        and all(dot(row, r) == 0 for row in A)
+                        for r in itertools.product(rays_box, repeat=n))
+        if res.status == "infeasible":
+            assert not list(enumerate_fiber(A, b, (0,) * n, (8,) * n))
+            seen["infeasible"] += 1
+        elif res.status == "unbounded":
+            assert improving
+            seen["unbounded"] += 1
+        else:
+            assert res.status == "optimal" and not improving
+            assert all(v >= 0 for v in res.x)
+            assert tuple(dot(row, res.x) for row in A) == b
+            assert dot(w, res.x) == res.value
+            box = (max(8, *res.x),) * n
+            assert max(dot(w, x) for x in
+                       enumerate_fiber(A, b, (0,) * n, box)) == res.value
+            seen["capped optimal"] += 1
+    assert seen["negative entry"] >= 300
+    assert seen["infeasible"] >= 40
+    assert seen["unbounded"] >= 8
+    assert seen["capped optimal"] >= 60
+    assert seen["tie"] >= 30
 
 
 def test_lip_validation():

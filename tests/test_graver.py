@@ -1,5 +1,6 @@
 """Graver basis completion, certificates, and greedy augmentation."""
 
+import collections
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from latticeopt.graver import (
     NFoldSpec,
     SeparableConvexFn,
     check_optimality,
+    enumerate_fiber,
     graver_basis,
     greedy_augment,
     nfold_matrix,
@@ -201,6 +203,91 @@ def test_superadditivity_in_common_orthant():
             assert lhs >= rhs
 
 
+def counting_fn(fns):
+    """A SeparableConvexFn whose evaluators count their calls per (i, m)."""
+    calls = collections.Counter()
+
+    def counted(i, fn):
+        def ev(m):
+            calls[i, m] += 1
+            return fn(m)
+        return ev
+
+    return SeparableConvexFn(tuple(counted(i, fn)
+                                   for i, fn in enumerate(fns))), calls
+
+
+def test_each_term_is_evaluated_once_per_integer():
+    spec = NFoldSpec(((1, 1),), ((1, 2),), 3, (10, 4, 5, 6))
+    A = nfold_matrix(spec)
+    centers = (F(1, 2), 3, -1, F(5, 3), 2, 0)
+    f, calls = counting_fn([
+        (lambda m, c=c: (m - c) ** 2) if i % 2 else
+        (lambda m, c=c: abs(F(m) - c) + F(m, 3))
+        for i, c in enumerate(centers)])
+    l, u = (0,) * 6, (6,) * 6
+    x0 = list(enumerate_fiber(A, spec.b, l, u))[-1]
+    G = graver_basis(A)
+    f.validate_convex(l, u)
+    res = greedy_augment(x0, f, A, spec.b, l, u, G)
+    assert res.steps >= 1
+    assert check_optimality(res.x, f, A, spec.b, l, u, G) == (True, None)
+    assert f.value(res.x) == brute_minimum(A, spec.b, l, u, f)
+    # validate_convex alone asks for every m in [l_i - 1, u_i + 1]
+    assert set(calls) == {(i, m) for i in range(6) for m in range(-1, 8)}
+    assert max(calls.values()) == 1
+
+
+def test_compare_is_sign_of_value_difference():
+    rng = random.Random(23)
+    fs = [SeparableConvexFn.weighted_square((1, F(-5, 2), 0, 3),
+                                            (2, 1, F(1, 3), 0)),
+          SeparableConvexFn.absolute_deviation((0, 2, F(1, 2), -1)),
+          SeparableConvexFn.piecewise_max(
+              (((1, 0), (-1, 0)), ((2, 1),), ((0, 0), (1, -2)),
+               ((-3, 1), (1, 1))))]
+    seen = collections.Counter()
+    for _ in range(300):
+        f = rng.choice(fs)
+        x = tuple(rng.randint(-4, 4) for _ in range(4))
+        y = list(x)
+        for i in rng.sample(range(4), rng.randint(0, 4)):
+            y[i] = rng.randint(-4, 4)
+        y = tuple(y)
+        d = f.value(x) - f.value(y)
+        sign = (d > 0) - (d < 0)
+        assert f.compare(x, y) == sign
+        assert f.compare(y, x) == -sign
+        seen[sign, x == y] += 1
+    assert seen[0, True] >= 20 and seen[0, False] >= 5
+    assert seen[1, False] >= 50 and seen[-1, False] >= 50
+
+
+def test_dimension_mismatch_raises():
+    f = SeparableConvexFn.weighted_square((0, 0, 0))
+    for x, y in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)),
+                 ((1, 2), (1, 2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            f.compare(x, y)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        f.value((1, 2, 3, 4))
+
+
+def test_convexity_error_names_first_failing_point():
+    # the concave spot is hit on a dense scan and on a sampled one
+    bump = SeparableConvexFn((lambda m: F(m * m),
+                              lambda m: F(-abs(m - 2))))
+    with pytest.raises(ValueError) as err:
+        bump.validate_convex((-5, -5), (5, 5))
+    assert str(err.value) == "coordinate 1 fails convexity at 2"
+    spike = SeparableConvexFn((lambda m: F(abs(m)),
+                               lambda m: F(1000 if m == 345 else abs(m))))
+    spike.validate_convex((0, 0), (1000, 340))
+    with pytest.raises(ValueError) as err:
+        spike.validate_convex((0, 0), (1000, 1000))
+    assert str(err.value) == "coordinate 1 fails convexity at 345"
+
+
 # ---------------------------------------------------------------------------
 # optimality certificate
 
@@ -285,6 +372,50 @@ def test_augment_step_counts_stay_modest():
         gap = f.value(seed) - fstar
         allowance = (2 * n - 2) * (2 + math.log2(1 + float(gap)))
         assert res.steps <= allowance
+
+
+def test_basis_of_another_matrix_is_rejected():
+    # steps along ker(1 2 3) leave the fiber of (1 1 1): the augmentation
+    # would end at (1, 0, 1), whose row sum is 2, and the certificate
+    # would call the non-optimal (2, 1, 0) optimal
+    G = graver_basis(((1, 2, 3),))
+    A, b = ((1, 1, 1),), (3,)
+    l, u = (0, 0, 0), (3, 3, 3)
+    f = SeparableConvexFn.weighted_square((1, 0, 1))
+    assert brute_minimum(A, b, l, u, f) < f.value((2, 1, 0))
+    with pytest.raises(ValueError, match="kernel"):
+        greedy_augment((2, 1, 0), f, A, b, l, u, G)
+    with pytest.raises(ValueError, match="kernel"):
+        check_optimality((2, 1, 0), f, A, b, l, u, G)
+
+
+def test_basis_of_a_matrix_with_the_same_kernel_is_accepted():
+    A, b, l, u, f, G = setup_transport()
+    doubled = ((2, 2),)
+    assert G.matrix != doubled
+    res = greedy_augment((4, 0), f, doubled, (8,), l, u, G)
+    assert res.x == (2, 2)
+    assert check_optimality(res.x, f, doubled, (8,), l, u, G) == (True, None)
+
+
+def test_enumerate_fiber_matches_box_scan():
+    # signed entries and bounds, zero rows and columns, empty boxes
+    rng = random.Random(29)
+    nonempty = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        A = tuple(tuple(rng.randint(-3, 3) for _ in range(n))
+                  for _ in range(m))
+        l = tuple(rng.randint(-3, 1) for _ in range(n))
+        u = tuple(v + rng.randint(-1, 4) for v in l)
+        point = tuple(rng.randint(a, max(a, c)) for a, c in zip(l, u))
+        b = tuple(mat_vec(A, point))
+        if rng.random() < 0.2:
+            b = tuple(rng.randint(-5, 5) for _ in range(m))
+        pts = list(enumerate_fiber(A, b, l, u))
+        assert pts == feasible_points(A, b, l, u)
+        nonempty += bool(pts)
+    assert nonempty >= 150
 
 
 # ---------------------------------------------------------------------------
