@@ -67,11 +67,6 @@ def mat_vec(M, x):
     return tuple(dot(row, x) for row in M)
 
 
-def mat_mul(A, B):
-    Bt = transpose(B)
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
-
-
 def transpose(M):
     return tuple(zip(*M)) if M else ()
 

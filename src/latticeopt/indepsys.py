@@ -235,29 +235,6 @@ class IndependenceSystem:
         return self._members
 
 
-def read_generators(path) -> IndependenceSystem:
-    """Independence system from a text file of 0/1 generator rows.
-
-    One maximal element per line as a 0/1 string; blank lines and lines
-    starting with '#' are skipped.  The system is the down-closure of
-    the listed elements.
-    """
-    gens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if set(line) - {"0", "1"}:
-                raise ValueError(f"line {lineno}: expected a 0/1 string")
-            gens.append(tuple(int(ch) for ch in line))
-    if not gens:
-        raise ValueError("no generators found")
-    if len({len(g) for g in gens}) != 1:
-        raise ValueError("generator rows must share one length")
-    return IndependenceSystem.from_generators(len(gens[0]), gens)
-
-
 # ---------------------------------------------------------------------------
 # Frobenius numbers and the quality bound
 

@@ -4,7 +4,10 @@ deterministic triangulation of pointed cones.
 Triangulations are produced half-open: each simplicial piece marks the
 facets that are excluded, chosen by a fixed reference direction, so the
 pieces partition the cone's points exactly (no shared boundaries and no
-lower-dimensional correction terms).
+lower-dimensional correction terms).  Triangulation makes no LP call: it
+takes the cone's rays to be the extreme rays of a pointed cone, which is
+what supporting_cone returns, and splits it by one pulling recursion in
+every dimension.
 """
 
 from __future__ import annotations
@@ -93,6 +96,14 @@ class Vertex:
     tight_rows: frozenset
 
 
+def _integer_vector(v) -> tuple:
+    """v as a tuple of ints; ValueError on any entry that is not an integer."""
+    out = tuple(int(x) for x in v)
+    if out != tuple(v):
+        raise ValueError(f"non-integer entry in {tuple(v)}")
+    return out
+
+
 @dataclass(frozen=True)
 class Cone:
     """apex + cone(rays); rays are primitive integer vectors."""
@@ -103,7 +114,7 @@ class Cone:
         object.__setattr__(self, "apex",
                            tuple(Fraction(x) for x in self.apex))
         object.__setattr__(self, "rays",
-                           tuple(tuple(int(x) for x in r) for r in self.rays))
+                           tuple(_integer_vector(r) for r in self.rays))
 
 
 @dataclass(frozen=True)
@@ -123,8 +134,7 @@ class SimplicialCone:
         object.__setattr__(self, "apex",
                            tuple(Fraction(x) for x in self.apex))
         object.__setattr__(self, "generators",
-                           tuple(tuple(int(x) for x in g)
-                                 for g in self.generators))
+                           tuple(_integer_vector(g) for g in self.generators))
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -305,86 +315,9 @@ def open_facets_for(generators, eta) -> frozenset:
 # ---------------------------------------------------------------------------
 # triangulation
 
-def _is_pointed(rays) -> bool:
-    """No line in cone(rays): 0 is not a convex combination of the rays."""
-    if not rays:
-        return True
-    n = len(rays[0])
-    k = len(rays)
-    A_eq = [tuple(r[i] for r in rays) for i in range(n)]
-    A_eq.append(tuple([1] * k))
-    b = [0] * n + [1]
-    res = solve_lp(LPProblem(c=(0,) * k, A=tuple(A_eq), b=tuple(b),
-                             senses=("=",) * (n + 1), lower=(0,) * k))
-    return res.status == "infeasible"
-
-
-def _interior_functional(rays) -> tuple:
-    """c with <c, r> > 0 for every ray of a pointed cone.
-
-    Which such c comes back is unspecified (the LP reports an optimal
-    point, not a particular one); callers rely only on the strict sign.
-    """
-    s = tuple(sum(col) for col in zip(*rays))
-    if all(dot(s, r) > 0 for r in rays):
-        return s
-    n = len(rays[0])
-    # max t s.t. <c, r_i> >= t, -1 <= c <= 1
-    A = [tuple(list(vneg(r)) + [1]) for r in rays]
-    res = solve_lp(LPProblem(
-        c=(0,) * n + (1,), A=tuple(A), b=(0,) * len(rays),
-        senses=("<=",) * len(rays),
-        lower=(-1,) * n + (0,), upper=(1,) * n + (2,)))
-    if res.status != "optimal" or res.value <= 0:
-        raise NotPointedError("cone contains a line")
-    c = clear_denominators(res.x[:n])
-    return c
-
-
-def _fan_2d(rays) -> list:
-    """Consecutive pairs of the angularly sorted rays of a pointed 2-D cone.
-
-    Interior rays are kept as subdivision points, so n rays give n-1 pieces.
-    The fan does not depend on which interior functional c is used: every
-    ray lies in the open half-plane <c, .> > 0, where the slope
-    <c_perp, r> / <c, r> grows with the counterclockwise angle of r, so
-    sorting by it gives the angular order of the rays, which belongs to
-    the cone alone.
-    """
-    uniq = sorted(set(primitive(r) for r in rays))
-    if len(uniq) == 1:
-        raise ValueError("need at least two distinct rays")
-    c = _interior_functional(uniq)
-    cperp = (-c[1], c[0])
-
-    def slope(r):
-        return Fraction(dot(cperp, r)) / Fraction(dot(c, r))
-
-    ordered = sorted(uniq, key=slope)
-    return [(ordered[i], ordered[i + 1]) for i in range(len(ordered) - 1)]
-
-
-def _extreme_rays(rays) -> list:
-    """Drop rays that are nonnegative combinations of the others."""
-    rays = sorted(set(primitive(r) for r in rays))
-    out = []
-    for i, r in enumerate(rays):
-        others = [s for j, s in enumerate(rays) if j != i]
-        if not others:
-            out.append(r)
-            continue
-        n = len(r)
-        A = [tuple(s[k] for s in others) for k in range(n)]
-        res = solve_lp(LPProblem(c=(0,) * len(others), A=tuple(A),
-                                 b=tuple(r), senses=("=",) * n,
-                                 lower=(0,) * len(others)))
-        if res.status != "optimal":
-            out.append(r)
-    return out
-
-
 def _facets_of(rays, dim) -> list:
-    """Facets of a full-dimensional pointed cone as ray index sets."""
+    """Facets of a full-dimensional cone as sorted (ray index set, inward
+    normal) pairs."""
     m = len(rays)
     found = {}
     for subset in itertools.combinations(range(m), dim - 1):
@@ -405,21 +338,20 @@ def _facets_of(rays, dim) -> list:
             continue
         members = tuple(i for i, s in enumerate(signs) if s == 0)
         found[members] = h
-    return sorted(found.keys())
+    return sorted(found.items())
 
 
-def _coordinates_in_span(rays, span_rays):
-    """Express rays in a basis chosen from span_rays; integer outputs."""
+def _coordinates_in_span(rays):
+    """Express rays in a basis chosen from themselves; integer outputs."""
     basis = []
-    for r in span_rays:
+    for r in rays:
         if rational_rank(basis + [r]) > len(basis):
             basis.append(r)
     k = len(basis)
-    Bt = transpose(basis)              # columns are basis vectors
+    rows = transpose(basis)            # columns are basis vectors
     coords = []
     for r in rays:
         # solve sum_j c_j basis_j = r  (overdetermined, consistent)
-        rows = [tuple(Bt[i]) for i in range(len(Bt))]
         sol = None
         for subset in itertools.combinations(range(len(rows)), k):
             M = [rows[i] for i in subset]
@@ -437,22 +369,28 @@ def _coordinates_in_span(rays, span_rays):
 
 
 def _pull(rays, dim) -> list:
-    """Pulling triangulation of a pointed full-dimensional cone; returns
-    tuples of rays.  Deterministic: recursion always pulls the smallest ray."""
+    """Pulling triangulation of a full-dimensional cone; returns tuples of
+    rays.  Deterministic: recursion always pulls the smallest ray.
+
+    Raises NotPointedError when the facet normals do not span R^dim, which
+    happens exactly when the cone contains a line.  A simplicial 2-D cone
+    comes back counterclockwise.
+    """
     rays = sorted(rays)
     if len(rays) == dim:
+        if dim == 2 and det(rays) < 0:
+            rays.reverse()
         return [tuple(rays)]
-    if dim == 1:
-        return [(rays[0],)]
-    if dim == 2:
-        return _fan_2d(rays)
+    facets = _facets_of(rays, dim)
+    if rational_rank([h for _, h in facets]) < dim:
+        raise NotPointedError("cone contains a line")
     v = rays[0]
     pieces = []
-    for members in _facets_of(rays, dim):
+    for members, _ in facets:
         fac = [rays[i] for i in members]
         if v in fac:
             continue
-        coords = _coordinates_in_span(fac, fac)
+        coords = _coordinates_in_span(fac)
         sub = _pull(coords, dim - 1)
         index = {c: r for c, r in zip(coords, fac)}
         for simplex in sub:
@@ -463,32 +401,29 @@ def _pull(rays, dim) -> list:
 def triangulate(cone: Cone, reference=None) -> tuple:
     """Split a pointed full-dimensional cone into half-open simplicial cones.
 
+    Precondition: cone.rays are the extreme rays of a pointed cone, as
+    supporting_cone returns them.  Nothing here re-checks that by LP;
+    triangulation makes no LP call.  Pulling still partitions the cone when
+    some rays are not extreme (only the choice of pieces differs), and a
+    cone that contains a line raises NotPointedError.
+
     The pieces partition the cone's points exactly: facets shared between
     pieces are kept by exactly one of them, decided by the reference
     direction (default: the sum of the cone's rays, which lies strictly
     inside, so the outer boundary stays closed).
     """
-    rays = [primitive(r) for r in cone.rays]
+    rays = sorted(set(primitive(r) for r in cone.rays))
     if not rays:
         raise ValueError("cone has no rays")
-    if not _is_pointed(rays):
-        raise NotPointedError("cone contains a line")
     d = len(rays[0])
-    span = rational_rank(rays)
-    if span < d:
-        if len(set(rays)) == 1:
+    if rational_rank(rays) < d:
+        if len(rays) == 1:
             return (SimplicialCone(apex=cone.apex, generators=(rays[0],)),)
         raise ValueError("cone is not full-dimensional")
     if reference is None:
-        reference = tuple(sum(col) for col in zip(*sorted(set(rays))))
-    if d == 1:
-        return (SimplicialCone(apex=cone.apex, generators=(rays[0],)),)
-    if d == 2:
-        raw = _fan_2d(rays)
-    else:
-        raw = _pull(_extreme_rays(rays), d)
+        reference = tuple(sum(col) for col in zip(*rays))
     out = []
-    for gens in raw:
+    for gens in _pull(rays, d):
         out.append(SimplicialCone(
             apex=cone.apex, generators=tuple(gens), sign=1,
             open_facets=open_facets_for(gens, reference)))

@@ -424,6 +424,21 @@ def test_indepsys_needs_one_weights_row(capsys, tmp_path):
     assert "one WEIGHTS row" in err
 
 
+@pytest.mark.parametrize("indep, line, message", [
+    ("1100\n01x0\n", 3, "expected a 0/1 generator string"),
+    ("1100\n011\n", 3, "generator has 3 entries, expected 4"),
+    ("# nothing\n\n", 1, "INDEP section is empty"),
+], ids=["not-binary", "width", "empty"])
+def test_indepsys_rejects_bad_generators(capsys, tmp_path, indep, line,
+                                         message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("INDEP\n" + indep + "\nTUPLE\n1\n\nOBJECTIVE\ntab 1 2\n")
+    code, out, err = run_cli(capsys, "indepsys", str(bad))
+    assert code == 4
+    assert out == ""
+    assert f"line {line}: {message}" in err
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting behaviour
 

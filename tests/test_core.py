@@ -28,7 +28,6 @@ from latticeopt.core import (
     kth_root_floor_rational,
     lll_reduce,
     lll_reduce_with_transform,
-    mat_mul,
     mat_vec,
     parse_rat,
     primitive,
@@ -54,6 +53,11 @@ def det_cofactor(M):
         minor = [row[:j] + row[j + 1:] for row in [list(r) for r in M[1:]]]
         total += (-1) ** j * M[0][j] * det_cofactor(minor)
     return total
+
+
+def mat_mul(A, B):
+    Bt = transpose(B)
+    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
 
 
 def lp_oracle(problem):

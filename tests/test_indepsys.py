@@ -13,7 +13,6 @@ from latticeopt.indepsys import (
     min_below,
     naive_strategy,
     r_bound,
-    read_generators,
 )
 
 
@@ -226,25 +225,6 @@ def test_maximize_validates_shapes():
         IndependenceSystem.from_generators(2, [])
     with pytest.raises(ValueError):
         IndependenceSystem(0, lambda c: ())
-
-
-def test_read_generators(tmp_path):
-    path = tmp_path / "gens.txt"
-    path.write_text("# two overlapping supports\n1100\n\n0110\n")
-    system = read_generators(path)
-    assert system.n == 4
-    assert system.members() == frozenset(down_closure([(1, 1, 0, 0), (0, 1, 1, 0)]))
-
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1100\n01x0\n")
-    with pytest.raises(ValueError, match="line 2"):
-        read_generators(bad)
-    bad.write_text("1100\n011\n")
-    with pytest.raises(ValueError, match="length"):
-        read_generators(bad)
-    bad.write_text("# nothing\n\n")
-    with pytest.raises(ValueError, match="no generators"):
-        read_generators(bad)
 
 
 # ---------------------------------------------------------------------------

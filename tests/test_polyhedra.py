@@ -1,7 +1,8 @@
 """Vertex enumeration, supporting cones, and half-open triangulation tests.
 
-The triangulation oracle is LP membership in the original cone: summed
-half-open piece multiplicities must reproduce it exactly, point by point.
+The triangulation oracle is membership in the original cone, by LP or, for
+a supporting cone, by the rows tight at its vertex: summed half-open piece
+multiplicities must reproduce it exactly, point by point.
 """
 
 import itertools
@@ -10,7 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from latticeopt.core import LPProblem, dot, solve_lp, solve_rational, transpose
+from latticeopt import polyhedra
+from latticeopt.core import (
+    LPProblem,
+    dot,
+    rational_rank,
+    solve_lp,
+    solve_rational,
+    transpose,
+    vsub,
+)
 from latticeopt.polyhedra import (
     Cone,
     NotPointedError,
@@ -244,12 +254,19 @@ def test_triangulate_unimodular_is_identity():
     assert pieces[0].open_facets == frozenset()
 
 
-def test_triangulate_2d_interior_ray_splits():
-    c = Cone(apex=(0, 0), rays=((1, 0), (1, 1), (0, 1)))
-    pieces = triangulate(c)
-    assert len(pieces) == 2
-    gens = {p.generators for p in pieces}
-    assert gens == {((1, 0), (1, 1)), ((1, 1), (0, 1))}
+def test_triangulate_2d_counterclockwise_piece():
+    # generator order feeds LLL in signed_decompose, so it is fixed:
+    # a simplicial 2-D cone comes back counterclockwise
+    for rays in (((1, 0), (1, 1)), ((1, 1), (1, 0)),
+                 ((-1, 2), (3, -1)), ((3, -1), (-1, 2))):
+        pieces = triangulate(Cone(apex=(0, 0), rays=rays))
+        assert len(pieces) == 1
+        g = pieces[0].generators
+        assert set(g) == set(rays)
+        assert g[0][0] * g[1][1] - g[0][1] * g[1][0] > 0
+    # pulling leaves out a ray that is not extreme
+    pieces = triangulate(Cone(apex=(0, 0), rays=((1, 0), (1, 1), (0, 1))))
+    assert [p.generators for p in pieces] == [((0, 1), (1, 0))]
 
 
 def test_triangulate_halfopen_partition_2d():
@@ -293,3 +310,99 @@ def test_triangulate_random_3d_cones_partition():
 def test_triangulate_rejects_line():
     with pytest.raises(NotPointedError):
         triangulate(Cone(apex=(0, 0), rays=((1, 0), (-1, 0), (0, 1))))
+
+
+def test_cones_reject_non_integer_entries():
+    for bad in (Fraction(1, 2), 1.9, "1"):
+        with pytest.raises(ValueError, match="non-integer"):
+            Cone(apex=(0, 0), rays=((bad, 1), (1, 0)))
+        with pytest.raises(ValueError, match="non-integer"):
+            SimplicialCone(apex=(0, 0), generators=((1, 0), (0, bad)))
+    c = Cone(apex=(0, 0), rays=((Fraction(2), 1), (1, 0)))
+    assert c.rays == ((2, 1), (1, 0))
+    assert all(type(x) is int for r in c.rays for x in r)
+
+
+# ---------------------------------------------------------------------------
+# the precondition triangulate relies on: supporting_cone returns exactly
+# the extreme rays of a pointed cone, checked here by LP
+
+def lp_is_pointed(rays) -> bool:
+    """0 is not a convex combination of the rays."""
+    n, k = len(rays[0]), len(rays)
+    A = tuple(tuple(r[i] for r in rays) for i in range(n)) + ((1,) * k,)
+    res = solve_lp(LPProblem(c=(0,) * k, A=A, b=(0,) * n + (1,),
+                             senses=("=",) * (n + 1), lower=(0,) * k))
+    return res.status == "infeasible"
+
+
+def lp_is_extreme(rays, i) -> bool:
+    """Ray i is not a nonnegative combination of the others."""
+    others = rays[:i] + rays[i + 1:]
+    return not others or not cone_contains(others, (0,) * len(rays[i]),
+                                           rays[i])
+
+
+def precondition_polytopes():
+    """Seeded boxes cut through lattice points (often at a box corner, so
+    the vertex there turns degenerate), square pyramids and
+    cross-polytopes."""
+    rng = random.Random(7)
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        lo = tuple(rng.randint(-2, 0) for _ in range(n))
+        hi = tuple(rng.randint(1, 3) for _ in range(n))
+        B = box_polyhedron(lo, hi)
+        A, b = list(B.A), list(B.b)
+        for _ in range(rng.randint(1, 3)):
+            a = tuple(rng.randint(-2, 2) for _ in range(n))
+            p = tuple(rng.randint(l, h) for l, h in zip(lo, hi))
+            if any(a):
+                A.append(a)
+                b.append(dot(a, p))
+        yield Polyhedron(tuple(A), tuple(b))
+    for n in (2, 3, 4):
+        rows = tuple(itertools.product((1, -1), repeat=n))
+        yield Polyhedron(rows, (1,) * len(rows))
+    for n in (3, 4):
+        for h in (1, 2, 3):
+            rows = [tuple(-1 if j == n - 1 else 0 for j in range(n))]
+            for i, s in itertools.product(range(n - 1), (1, -1)):
+                rows.append(tuple(s if j == i else 1 if j == n - 1 else 0
+                                  for j in range(n)))
+            yield Polyhedron(tuple(rows), (0,) + (h,) * (len(rows) - 1))
+
+
+def test_supporting_cones_meet_triangulate_precondition(monkeypatch):
+    def no_lp(problem):
+        raise AssertionError("solve_lp called")
+
+    monkeypatch.setattr(polyhedra, "solve_lp", no_lp)
+    cones = degenerate = 0
+    for P in precondition_polytopes():
+        n = P.dim
+        vs = enumerate_vertices(P)
+        if rational_rank([vsub(v.point, vs[0].point) for v in vs]) < n:
+            continue                       # not full-dimensional
+        for v in vs:
+            c = supporting_cone(P, v)
+            pieces = triangulate(c)
+            rays = list(c.rays)
+            assert lp_is_pointed(rays), c
+            assert all(lp_is_extreme(rays, i) for i in range(len(rays))), c
+            cones += 1
+            if len(v.tight_rows) == n:
+                assert [set(p.generators) for p in pieces] == [set(rays)]
+                assert pieces[0].open_facets == frozenset()
+                continue
+            degenerate += 1
+            # the tangent cone in H-form, independent of triangulate
+            tight = [P.A[i] for i in sorted(v.tight_rows)]
+            window = [range(int(x) - 1, int(x) + 2) for x in v.point]
+            for x in itertools.product(*window):
+                d = vsub(x, v.point)
+                inside = all(dot(row, d) <= 0 for row in tight)
+                mult = sum(1 for p in pieces if halfopen_contains(p, x))
+                assert mult == (1 if inside else 0), (c, x)
+    assert cones >= 700
+    assert degenerate >= 100
