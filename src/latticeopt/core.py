@@ -3,7 +3,9 @@ reduction, and an exact fraction-free simplex solver.
 
 Everything downstream builds on this module.  All numbers are ints or
 `fractions.Fraction`; nothing here ever touches floating point, so results
-are reproducible bit for bit.
+are reproducible bit for bit.  One fraction-free elimination (`eliminate`)
+gives rank, rational solves, determinants, scaled inverses and null
+vectors, and it shares its integer pivot with the simplex.
 """
 
 from __future__ import annotations
@@ -107,75 +109,125 @@ def clear_denominators(v) -> tuple:
     return tuple(x.numerator * (lcm // x.denominator) for x in v)
 
 
-# ---------------------------------------------------------------------------
-# integer determinants, Hermite normal form, kernels
+def integer_vector(v) -> tuple:
+    """v as a tuple of ints; ValueError on any entry that is not an integer.
 
-def det(M) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    Integral Fractions are accepted.
+    """
+    out = tuple(int(x) for x in v)
+    if out != tuple(v):
+        raise ValueError(f"non-integer entry in {tuple(v)}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# one fraction-free elimination: rank, solves, determinants, inverses
+
+def eliminate(M) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of a matrix of ints and
+    Fractions (Bareiss 1968), on the simplex's own _integer_pivot.
+
+    Each row is first scaled to integers by clear_denominators, which
+    changes neither its row space nor the solutions of a system it
+    encodes.  Columns are taken left to right; a column becomes a pivot
+    when some row not yet used has a nonzero entry in it, so the pivot
+    columns are the greedy column basis.  Returns (rows, D, pivots):
+    rows is |D| times the reduced row echelon form, with its zero rows
+    last, and pivots lists the pivot columns, so the rank is
+    len(pivots).  |D| is the pivot minor, and the sign of D follows
+    every row swap and every negative pivot, so for a square integer M
+    of full rank D = det M and [M | I] reduces to [|D|*I | |D|*M^{-1}].
+    """
+    rows = [list(clear_denominators(row)) for row in M]
+    D = 1
+    sign = 1
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        if rows[r][c] < 0:
+            sign = -sign
+        D = _integer_pivot(rows, r, c, D)
+        pivots.append(c)
+    return rows, sign * D, pivots
+
+
+def _square_integer(M) -> list:
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix not square")
-    a = [[int(x) for x in row] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return [integer_vector(row) for row in M]
+
+
+def det(M) -> int:
+    """Determinant of a square integer matrix: eliminate's signed D."""
+    rows = _square_integer(M)
+    _, D, pivots = eliminate(rows)
+    return D if len(pivots) == len(rows) else 0
+
+
+def scaled_inverse(B) -> tuple:
+    """(D, A) with D = |det B| and A = D * B^{-1}, an integer matrix, for a
+    square nonsingular integer B; ValueError when B is singular.
+
+    Both come from one elimination of [B | I].
+    """
+    n = len(B)
+    aug = [row + e for row, e in zip(_square_integer(B), identity_matrix(n))]
+    rows, D, pivots = eliminate(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return abs(D), tuple(tuple(row[n:]) for row in rows)
 
 
 def rational_rank(M) -> int:
     """Rank over the rationals."""
-    if not M:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in M]
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(eliminate(M)[2])
 
 
 def solve_rational(M, b) -> Optional[tuple]:
-    """Solve a square system M x = b exactly; None when M is singular."""
-    n = len(M)
-    aug = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(M, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b2 for a, b2 in zip(aug[i], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+    """Solve a square system M x = b exactly; None when M is singular.
 
+    ValueError when M is not square or b does not have one entry per row.
+    """
+    n = len(M)
+    if len(b) != n or any(len(row) != n for row in M):
+        raise ValueError(f"solve_rational needs a square M and one b entry "
+                         f"per row, got {n} rows and {len(b)} entries")
+    rows, D, pivots = eliminate([tuple(row) + (bb,) for row, bb in zip(M, b)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(Fraction(row[n], abs(D)) for row in rows)
+
+
+def null_vector(M) -> Optional[tuple]:
+    """The primitive integer vector spanning the kernel of M when M has
+    rank one less than its column count, up to sign; None otherwise.
+
+    With f the one non-pivot column, x_f = |D| and x_p = -rows[i][f]
+    for the pivot column p of reduced row i.
+    """
+    n = len(M[0]) if M else 0
+    rows, D, pivots = eliminate(M)
+    if len(pivots) != n - 1:
+        return None
+    f = next(j for j in range(n) if j not in pivots)
+    x = [0] * n
+    x[f] = abs(D)
+    for row, p in zip(rows, pivots):
+        x[p] = -row[f]
+    return primitive(x)
+
+
+# ---------------------------------------------------------------------------
+# Hermite normal form, integer kernels and solves
 
 def hnf(M) -> tuple:
     """Row Hermite normal form with transform:  returns (H, U), H = U*M.
@@ -185,7 +237,7 @@ def hnf(M) -> tuple:
     U is unimodular.  Zero rows of H sit at the bottom.
     """
     m = len(M)
-    h = [[int(x) for x in row] for row in M]
+    h = [list(integer_vector(row)) for row in M]
     ncols = len(h[0]) if m else 0
     u = [list(row) for row in identity_matrix(m)]
     row = 0
@@ -250,7 +302,7 @@ def solve_integer(M, b) -> Optional[tuple]:
     # solve ht * y = b by forward substitution over pivot columns of h
     y = [0] * len(h)
     mrows = len(M)
-    resid = [int(x) for x in b]
+    resid = list(integer_vector(b))
     for j in range(len(h)):
         pivot_col = next((c for c in range(mrows) if h[j][c] != 0), None)
         if pivot_col is None:
@@ -283,7 +335,7 @@ def lll_reduce(basis, delta: Fraction = Fraction(3, 4)) -> tuple:
 
 def lll_reduce_with_transform(basis, delta: Fraction = Fraction(3, 4)) -> tuple:
     """Like lll_reduce but also returns unimodular U with  reduced = U * basis."""
-    b = [list(map(int, row)) for row in basis]
+    b = [list(integer_vector(row)) for row in basis]
     n = len(b)
     u = [list(row) for row in identity_matrix(n)]
 
@@ -394,7 +446,9 @@ def _integer_pivot(rows, r, e, D) -> int:
     division by D is exact (Bareiss 1968, Edmonds 1967); a row with a
     zero in the pivot column still moves to the new denominator.  The
     pivot row itself is unchanged.  D stays positive: after a negative
-    pivot every row changes sign.
+    pivot every row changes sign.  Two callers share this pivot: the
+    simplex (_simplex, solve_lp) and the Gauss-Jordan elimination
+    eliminate.
     """
     prow = rows[r]
     p = prow[e]

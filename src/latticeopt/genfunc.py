@@ -35,6 +35,7 @@ from .core import (
     dot,
     kernel_basis,
     lll_reduce_with_transform,
+    scaled_inverse,
     solve_integer,
     solve_rational,
     transpose,
@@ -85,10 +86,6 @@ class GFTerm:
                 raise ValueError("denominator multiplicity must be >= 1")
             den.append((b, int(m)))
         object.__setattr__(self, "denominator", tuple(sorted(den)))
-
-    @property
-    def pole_order(self) -> int:
-        return sum(m for _, m in self.denominator)
 
 
 @dataclass(frozen=True)
@@ -144,25 +141,13 @@ def unimodular_cone_gf(c: SimplicialCone) -> GFTerm:
 def _short_vector(gens) -> tuple[IntVec, tuple[Fraction, ...]]:
     """Lattice vector w with all |(B^{-1} w)_i| < 1, found via LLL.
 
-    Works in the image lattice {A w : w in Z^d} with A = det(B) * B^{-1},
+    Works in the image lattice {A w : w in Z^d} with A = |det B| * B^{-1},
     an integer matrix, so the target is an image point of infinity norm
-    below |det B|.
+    below |det B|.  The rows of A^T = |det B| * gens^{-1} generate that
+    lattice, and scaled_inverse gives them with D = |det B|.
     """
     d = len(gens)
-    D = abs(det(gens))
-    B = transpose(gens)
-    cols = []
-    for i in range(d):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(d))
-        col = solve_rational(B, e)
-        cols.append(tuple(x * D for x in col))
-    astar = transpose(cols)          # astar = D * B^{-1}, integer entries
-    rows = []
-    for r in astar:
-        row = tuple(int(x) for x in r)
-        assert all(Fraction(v) == orig for v, orig in zip(row, r))
-        rows.append(row)
-    lattice = transpose(rows)        # rows generate the image lattice
+    D, lattice = scaled_inverse(gens)
     reduced, U = lll_reduce_with_transform(lattice)
 
     rng = range(-2, 3) if d <= 4 else range(-1, 2)

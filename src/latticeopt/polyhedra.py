@@ -20,12 +20,14 @@ from typing import Optional, Sequence
 
 from .core import (
     LPProblem,
-    clear_denominators,
     det,
     dot,
-    kernel_basis,
+    eliminate,
+    integer_vector,
+    null_vector,
     primitive,
     rational_rank,
+    scaled_inverse,
     solve_lp,
     solve_rational,
     transpose,
@@ -96,14 +98,6 @@ class Vertex:
     tight_rows: frozenset
 
 
-def _integer_vector(v) -> tuple:
-    """v as a tuple of ints; ValueError on any entry that is not an integer."""
-    out = tuple(int(x) for x in v)
-    if out != tuple(v):
-        raise ValueError(f"non-integer entry in {tuple(v)}")
-    return out
-
-
 @dataclass(frozen=True)
 class Cone:
     """apex + cone(rays); rays are primitive integer vectors."""
@@ -114,7 +108,7 @@ class Cone:
         object.__setattr__(self, "apex",
                            tuple(Fraction(x) for x in self.apex))
         object.__setattr__(self, "rays",
-                           tuple(_integer_vector(r) for r in self.rays))
+                           tuple(integer_vector(r) for r in self.rays))
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,7 @@ class SimplicialCone:
         object.__setattr__(self, "apex",
                            tuple(Fraction(x) for x in self.apex))
         object.__setattr__(self, "generators",
-                           tuple(_integer_vector(g) for g in self.generators))
+                           tuple(integer_vector(g) for g in self.generators))
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -245,13 +239,9 @@ def supporting_cone(P: Polyhedron, v) -> Cone:
     else:
         candidates = []
         for subset in itertools.combinations(range(len(AT)), n - 1):
-            M = [AT[i] for i in subset]
-            if rational_rank(M) != n - 1:
-                continue
-            null = kernel_basis(tuple(clear_denominators(row) for row in M))
-            if len(null) != 1:
-                continue
-            candidates.append(primitive(null[0]))
+            null = null_vector([AT[i] for i in subset])
+            if null is not None:
+                candidates.append(null)
     for d in candidates:
         if all(dot(row, d) <= 0 for row in AT):
             rays.add(d)
@@ -283,25 +273,11 @@ def facet_normals(generators) -> tuple:
 
     Row i is the primitive integer normal of facet {lambda_i = 0}, positive
     on the cone side: <a_i, g_j> = 0 for j != i and <a_i, g_i> > 0.
+    With B the generators as columns, row i is row i of |det B| * B^{-1}
+    made primitive.  ValueError when the generators are dependent.
     """
-    B = transpose(generators)          # generators as columns
-    d = len(B)
-    D = det(B)
-    if D == 0:
-        raise ValueError("generators are dependent")
-    out = []
-    for i in range(d):
-        # row i of adj(B): cofactors along column i of B
-        row = []
-        for j in range(d):
-            minor = [[B[r][c] for c in range(d) if c != i]
-                     for r in range(d) if r != j]
-            cof = (-1) ** (i + j) * (det(minor) if minor else 1)
-            row.append(cof)
-        if D < 0:
-            row = [-x for x in row]
-        out.append(primitive(row))
-    return tuple(out)
+    _, A = scaled_inverse(transpose(generators))
+    return tuple(primitive(row) for row in A)
 
 
 def open_facets_for(generators, eta) -> frozenset:
@@ -321,13 +297,9 @@ def _facets_of(rays, dim) -> list:
     m = len(rays)
     found = {}
     for subset in itertools.combinations(range(m), dim - 1):
-        M = [rays[i] for i in subset]
-        if rational_rank(M) != dim - 1:
+        h = null_vector([rays[i] for i in subset])
+        if h is None:
             continue
-        null = kernel_basis(tuple(M))
-        if len(null) != 1:
-            continue
-        h = primitive(null[0])
         signs = [dot(h, r) for r in rays]
         if all(s >= 0 for s in signs):
             pass
@@ -342,30 +314,16 @@ def _facets_of(rays, dim) -> list:
 
 
 def _coordinates_in_span(rays):
-    """Express rays in a basis chosen from themselves; integer outputs."""
-    basis = []
-    for r in rays:
-        if rational_rank(basis + [r]) > len(basis):
-            basis.append(r)
-    k = len(basis)
-    rows = transpose(basis)            # columns are basis vectors
-    coords = []
-    for r in rays:
-        # solve sum_j c_j basis_j = r  (overdetermined, consistent)
-        sol = None
-        for subset in itertools.combinations(range(len(rows)), k):
-            M = [rows[i] for i in subset]
-            rhs = [r[i] for i in subset]
-            cand = solve_rational(M, rhs)
-            if cand is not None:
-                ok = all(dot(rows[i], cand) == r[i] for i in range(len(rows)))
-                if ok:
-                    sol = cand
-                    break
-        if sol is None:
-            raise ValueError("ray outside span")
-        coords.append(primitive(clear_denominators(sol)))
-    return coords
+    """Express rays in a basis chosen greedily from themselves; integer
+    outputs.
+
+    Eliminating the matrix whose columns are the rays makes the greedy
+    basis its pivot columns, and column j of the reduced rows holds ray
+    j's coordinates in that basis, times |D|.
+    """
+    rows, _, pivots = eliminate(transpose(rays))
+    return [primitive([row[j] for row in rows[:len(pivots)]])
+            for j in range(len(rays))]
 
 
 def _pull(rays, dim) -> list:

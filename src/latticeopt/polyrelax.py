@@ -161,17 +161,6 @@ class LiftedPolytope:
         """(equalities, inequalities) of the hull in R^(n+m)."""
         return convex_hull_h(self.cloud)
 
-    def hull_polyhedron(self) -> Polyhedron:
-        eqs, ineqs = self.hull
-        rows, rhs = [], []
-        for a, beta in eqs:
-            rows += [a, vneg(a)]
-            rhs += [beta, -beta]
-        for a, beta in ineqs:
-            rows.append(a)
-            rhs.append(beta)
-        return Polyhedron(tuple(rows), tuple(rhs))
-
 
 def build_lifted(polynomials, l, u) -> LiftedPolytope:
     ps = tuple(polynomials)

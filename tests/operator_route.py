@@ -137,6 +137,11 @@ def apply_operator(g, h):
     return GeneratingFunction(d, _combine(pieces))
 
 
+def pole_order(t):
+    """Total multiplicity of a term's denominator factors."""
+    return sum(m for _, m in t.denominator)
+
+
 def specialize_general(g, direction=None):
     """Exact value of any bounded-set generating function at z = 1.
 
@@ -159,7 +164,7 @@ def specialize_general(g, direction=None):
 
     total = Fraction(0)
     for t in g.terms:
-        L = t.pole_order
+        L = pole_order(t)
         prod = [Fraction(1)] + [Fraction(0)] * L
         for b, m in t.denominator:
             u = _u_series(dot(mu, b), L)

@@ -2,7 +2,8 @@
 
 Oracles here are deliberately independent of the implementations they check:
 determinants via cofactor expansion, LP optima via tight-row basis
-enumeration and via the replaced Fraction-tableau simplex (lp_reference).
+enumeration solved in Fractions (elimination_reference) and via the
+replaced Fraction-tableau simplex (lp_reference).
 """
 
 import itertools
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lp_reference
+from elimination_reference import det_cofactor
+from elimination_reference import solve_rational as solve_rational_reference
 from latticeopt.core import (
     LPError,
     LPProblem,
@@ -41,19 +44,6 @@ from latticeopt.core import (
 
 # ---------------------------------------------------------------------------
 # oracles
-
-def det_cofactor(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = 0
-    for j in range(n):
-        if M[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in [list(r) for r in M[1:]]]
-        total += (-1) ** j * M[0][j] * det_cofactor(minor)
-    return total
-
 
 def mat_mul(A, B):
     Bt = transpose(B)
@@ -94,7 +84,7 @@ def lp_oracle(problem):
     for subset in itertools.combinations(range(len(rows)), n):
         M = [rows[i][0] for i in subset]
         b = [rows[i][2] for i in subset]
-        x = solve_rational(M, b)
+        x = solve_rational_reference(M, b)
         if x is None or not feasible(x):
             continue
         v = dot([Fraction(q) for q in problem.c], x)
@@ -146,6 +136,35 @@ def test_det_multiplicative(n, data):
     B = tuple(tuple(data.draw(st.integers(-5, 5)) for _ in range(n))
               for _ in range(n))
     assert det(mat_mul(A, B)) == det(A) * det(B)
+
+
+def test_solve_rational_rejects_non_square_matrix():
+    # the third column used to come back as the answer
+    with pytest.raises(ValueError):
+        solve_rational(((1, 0, 5), (0, 1, 7)), (1, 1))
+
+
+def test_solve_rational_rejects_short_right_hand_side():
+    with pytest.raises(ValueError):
+        solve_rational(((1, 0), (0, 1)), (1,))
+
+
+def test_integer_routines_reject_non_integer_entries():
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError):
+        det(((half,),))
+    with pytest.raises(ValueError):
+        solve_integer(((2,),), (Fraction(5, 2),))
+    with pytest.raises(ValueError):
+        lll_reduce(((Fraction(3, 2), 0), (0, 1)))
+    with pytest.raises(ValueError):
+        hnf(((half, 1),))
+    with pytest.raises(ValueError):
+        kernel_basis(((half, 1),))
+    # integral Fractions are still integers
+    assert det(((Fraction(4, 2),),)) == 2
+    assert solve_integer(((2,),), (Fraction(6, 1),)) == (3,)
+    assert hnf(((Fraction(2), 1),))[0] == ((2, 1),)
 
 
 def test_hnf_postconditions():

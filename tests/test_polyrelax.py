@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from latticeopt.core import LPProblem, dot, solve_lp
+from latticeopt.core import LPProblem, dot, solve_lp, vneg
 from latticeopt.fptas import SparsePolynomial
-from latticeopt.polyhedra import is_empty
+from latticeopt.polyhedra import Polyhedron, is_empty
 from latticeopt.polyrelax import (
     build_lifted,
     check_condition,
@@ -209,10 +209,23 @@ def test_condition_basic_examples():
 # ---------------------------------------------------------------------------
 # integer convexity
 
+def hull_polyhedron(L):
+    """The lifted hull's H-description as one inequality system."""
+    eqs, ineqs = L.hull
+    rows, rhs = [], []
+    for a, beta in eqs:
+        rows += [a, vneg(a)]
+        rhs += [beta, -beta]
+    for a, beta in ineqs:
+        rows.append(a)
+        rhs.append(beta)
+    return Polyhedron(tuple(rows), tuple(rhs))
+
+
 def hull_floor(f, l, u, x):
     """Lower-hull value at x via the lifted hull's H-description."""
     L = build_lifted([f], l, u)
-    rows = L.hull_polyhedron()
+    rows = hull_polyhedron(L)
     n = len(l)
     eq_rows = tuple(tuple(F(int(i == j)) for j in range(n + 1))
                     for i in range(n))
