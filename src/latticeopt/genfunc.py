@@ -31,14 +31,11 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .core import (
-    det,
     dot,
     kernel_basis,
     lll_reduce_with_transform,
     scaled_inverse,
     solve_integer,
-    solve_rational,
-    transpose,
 )
 from .polyhedra import (
     Polyhedron,
@@ -117,14 +114,15 @@ def unimodular_cone_gf(c: SimplicialCone) -> GFTerm:
     """Generating function of a half-open unimodular cone.
 
     The numerator exponent is the unique lattice point of the fundamental
-    parallelepiped shifted to the apex: with B the generator matrix and
-    lam = B^{-1} apex, the lowest admissible integer offset is ceil(lam_i)
-    on closed facets and floor(lam_i) + 1 on open ones.
+    parallelepiped shifted to the apex: with lam = apex G^{-1} (one
+    scaled_inverse of the generator rows G), the lowest admissible integer
+    offset is ceil(lam_i) on closed facets and floor(lam_i) + 1 on open ones.
     """
     gens = c.generators
-    if abs(det(gens)) != 1:
+    D, inv = scaled_inverse(gens)
+    if D != 1:
         raise ValueError("cone is not unimodular")
-    lam = solve_rational(transpose(gens), tuple(Fraction(x) for x in c.apex))
+    lam = [dot(col, c.apex) for col in zip(*inv)]
     mstar = []
     for i, li in enumerate(lam):
         if i in c.open_facets:
@@ -138,17 +136,16 @@ def unimodular_cone_gf(c: SimplicialCone) -> GFTerm:
                   tuple((g, 1) for g in gens))
 
 
-def _short_vector(gens) -> tuple[IntVec, tuple[Fraction, ...]]:
-    """Lattice vector w with all |(B^{-1} w)_i| < 1, found via LLL.
+def _short_vector(D, inv) -> tuple[IntVec, IntVec]:
+    """Lattice vector w = sum alpha_i g_i with all |alpha_i| < 1, via LLL.
 
-    Works in the image lattice {A w : w in Z^d} with A = |det B| * B^{-1},
-    an integer matrix, so the target is an image point of infinity norm
-    below |det B|.  The rows of A^T = |det B| * gens^{-1} generate that
-    lattice, and scaled_inverse gives them with D = |det B|.
+    (D, inv) = scaled_inverse(G) for the generator rows G; the rows of
+    inv = D G^{-1} generate the image lattice {D alpha}, so the target is
+    an image point v = D alpha of infinity norm below D.  v is returned,
+    as only the signs of alpha are used.
     """
-    d = len(gens)
-    D, lattice = scaled_inverse(gens)
-    reduced, U = lll_reduce_with_transform(lattice)
+    d = len(inv)
+    reduced, U = lll_reduce_with_transform(inv)
 
     rng = range(-2, 3) if d <= 4 else range(-1, 2)
     best = None
@@ -169,11 +166,10 @@ def _short_vector(gens) -> tuple[IntVec, tuple[Fraction, ...]]:
         raise RuntimeError("no admissible short vector found; "
                            "decomposition cannot proceed")
     _, v, w = best
-    alpha = tuple(Fraction(x, D) for x in v)
-    if all(a <= 0 for a in alpha):
+    if all(x <= 0 for x in v):
         w = tuple(-x for x in w)
-        alpha = tuple(-a for a in alpha)
-    return w, alpha
+        v = tuple(-x for x in v)
+    return w, v
 
 
 def signed_decompose(c: SimplicialCone, reference=None
@@ -185,29 +181,34 @@ def signed_decompose(c: SimplicialCone, reference=None
     the generators, which lies strictly inside and keeps a closed input
     fully closed.  The input's own open_facets must have been derived
     from the same reference (triangulate does this).
+
+    Each node eliminates its generator rows G once: scaled_inverse(G) gives
+    D = |det G|, the short vector's lattice D G^{-1}, and, in its columns,
+    positive multiples of the inward facet normals.
     """
     gens = c.generators
-    d = len(gens)
     if reference is None:
-        reference = tuple(sum(g[i] for g in gens) for i in range(d))
-    if open_facets_for(gens, reference) != c.open_facets:
+        reference = tuple(map(sum, zip(*gens)))
+    D, inv = scaled_inverse(gens)
+    if open_facets_for(zip(*inv), reference) != c.open_facets:
         raise ValueError("open facets inconsistent with reference direction")
 
     out = []
-    stack = [(gens, c.sign)]
+    stack = [(gens, c.sign, D, inv)]
     while stack:
-        g, sign = stack.pop()
-        if abs(det(g)) == 1:
+        g, sign, D, inv = stack.pop()
+        if D == 1:
             out.append(SimplicialCone(c.apex, g, sign,
-                                      open_facets_for(g, reference)))
+                                      open_facets_for(zip(*inv), reference)))
             continue
-        w, alpha = _short_vector(g)
+        w, v = _short_vector(D, inv)
         children = []
-        for i, ai in enumerate(alpha):
-            if ai == 0:
+        for i, vi in enumerate(v):
+            if vi == 0:
                 continue
             child = g[:i] + (w,) + g[i + 1:]
-            children.append((child, sign if ai > 0 else -sign))
+            children.append((child, sign if vi > 0 else -sign,
+                             *scaled_inverse(child)))
         stack.extend(reversed(children))
     return tuple(out)
 

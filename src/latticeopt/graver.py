@@ -21,14 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import kernel_basis, mat_vec, rat, vadd, vneg, vscale, vsub
+from .core import (integer_vector, kernel_basis, mat_vec, rat, vadd, vneg,
+                   vscale, vsub)
 
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
 
 
 def _as_matrix(A) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in A)
+    return tuple(integer_vector(row) for row in A)
 
 
 def _conforms(u: IntVec, v: IntVec) -> bool:
@@ -74,7 +75,7 @@ class GraverBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_matrix(self.matrix))
-        elems = tuple(tuple(int(x) for x in g) for g in self.elements)
+        elems = tuple(integer_vector(g) for g in self.elements)
         if list(elems) != sorted(set(elems)):
             raise ValueError("elements must be sorted and unique")
         for g in elems:
@@ -95,14 +96,15 @@ class GraverBasis:
                             + tuple(vneg(g) for g in self.elements)))
 
     def __contains__(self, g) -> bool:
-        g = tuple(int(x) for x in g)
+        # entries compare by value: a non-integer entry matches no element
+        g = tuple(g)
         return any(g) and _canonical_sign(g) in set(self.elements)
 
 
 def graver_basis(A) -> GraverBasis:
     """All sign-minimal nonzero integer kernel vectors of A, by completion."""
     A = _as_matrix(A)
-    basis = [tuple(int(x) for x in v) for v in kernel_basis(A)]
+    basis = [integer_vector(v) for v in kernel_basis(A)]
     G: list[IntVec] = []
     seen = set()
     for v in basis:
@@ -171,7 +173,7 @@ class NFoldSpec:
             raise ValueError("A1 and A2 must share a positive column count")
         if self.n < 1:
             raise ValueError("n must be positive")
-        b = tuple(int(x) for x in self.b)
+        b = integer_vector(self.b)
         if len(b) != len(A1) + self.n * len(A2):
             raise ValueError("right-hand side length must be r + n*s")
         object.__setattr__(self, "A1", A1)

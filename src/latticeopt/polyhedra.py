@@ -132,11 +132,6 @@ class SimplicialCone:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
-    @property
-    def index(self) -> int:
-        """Absolute determinant of the generator matrix (1 = unimodular)."""
-        return abs(det(transpose(self.generators)))
-
 
 # ---------------------------------------------------------------------------
 # feasibility, boundedness, boxes
@@ -258,6 +253,7 @@ def halfopen_sign(normal, eta) -> int:
 
     eta is a rational reference direction; the moment-curve perturbation
     breaks ties exactly, so the result is never zero for nonzero normals.
+    It does not change when the normal is scaled by a positive factor.
     """
     s = dot(normal, eta)
     if s != 0:
@@ -280,11 +276,11 @@ def facet_normals(generators) -> tuple:
     return tuple(primitive(row) for row in A)
 
 
-def open_facets_for(generators, eta) -> frozenset:
+def open_facets_for(normals, eta) -> frozenset:
     """Facets to exclude so that pieces sharing a boundary never overlap:
-    facet i is open exactly when the reference direction lies strictly on
-    its outer side."""
-    return frozenset(i for i, a in enumerate(facet_normals(generators))
+    facet i, with inward normal normals[i] (any positive multiple), is open
+    exactly when the reference direction lies strictly on its outer side."""
+    return frozenset(i for i, a in enumerate(normals)
                      if halfopen_sign(a, eta) < 0)
 
 
@@ -384,5 +380,5 @@ def triangulate(cone: Cone, reference=None) -> tuple:
     for gens in _pull(rays, d):
         out.append(SimplicialCone(
             apex=cone.apex, generators=tuple(gens), sign=1,
-            open_facets=open_facets_for(gens, reference)))
+            open_facets=open_facets_for(facet_normals(gens), reference)))
     return tuple(out)

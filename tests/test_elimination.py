@@ -1,6 +1,8 @@
 """core.eliminate and the routines that read their answers off it, checked
 against the Fraction and cofactor routines it replaced
-(tests/elimination_reference.py) on seeded random matrices."""
+(tests/elimination_reference.py) on seeded random matrices, and the signed
+decomposition that eliminates each generator matrix once, checked against
+the one that took det, inverse, normals and solve separately."""
 
 import random
 from fractions import Fraction
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import elimination_reference as ref
-from latticeopt import polyhedra
+from latticeopt import core, genfunc, polyhedra
 from latticeopt.core import (
     clear_denominators,
     det,
@@ -158,3 +160,64 @@ def test_coordinates_in_span_match_subset_search():
             continue
         assert (polyhedra._coordinates_in_span(rays)
                 == ref.coordinates_in_span(rays))
+
+
+def _cones(seed, count):
+    """Seeded 2-4-D simplicial cones with fractional apexes, each with the
+    open facets of a random reference direction (None: the default)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(2, 4)
+        r = 10 - 2 * d                 # keeps |det| and the tree small
+        gens = tuple(tuple(rng.randint(-r, r) for _ in range(d))
+                     for _ in range(d))
+        if ref.det_cofactor(gens) == 0:
+            continue
+        apex = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(d))
+        eta = (None if rng.random() < 0.2 else
+               tuple(rng.randint(-2, 2) for _ in range(d)))
+        opened = (frozenset() if eta is None
+                  else ref.open_facets_for(gens, eta))
+        sign = rng.choice((1, -1))
+        out.append((polyhedra.SimplicialCone(apex, gens, sign, opened), eta))
+    return out
+
+
+def test_signed_decompose_matches_separate_eliminations():
+    mixed = 0
+    for c, eta in _cones(7, 80):
+        mixed += 0 < len(c.open_facets) < len(c.generators)
+        pieces = genfunc.signed_decompose(c, eta)
+        assert pieces == ref.signed_decompose(c, eta), c
+        assert ([genfunc.unimodular_cone_gf(p) for p in pieces]
+                == [ref.unimodular_cone_gf(p) for p in pieces])
+    assert mixed > 30
+
+
+def test_each_node_eliminates_its_generators_once(monkeypatch):
+    calls = {"eliminate": 0, "short": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(core, "eliminate",
+                        counted("eliminate", core.eliminate))
+    monkeypatch.setattr(genfunc, "_short_vector",
+                        counted("short", genfunc._short_vector))
+    inner = 0
+    for c, eta in _cones(8, 40):
+        calls.update(eliminate=0, short=0)
+        pieces = genfunc.signed_decompose(c, eta)
+        # one node per piece and one per short-vector split
+        assert calls["eliminate"] == len(pieces) + calls["short"]
+        inner += calls["short"]
+        for p in pieces:
+            calls["eliminate"] = 0
+            genfunc.unimodular_cone_gf(p)
+            assert calls["eliminate"] == 1
+    assert inner > 60

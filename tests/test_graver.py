@@ -124,6 +124,24 @@ def test_basis_validation():
         GraverBasis(((1, 1),), ((1, -1), (1, -1)))  # duplicate
 
 
+def test_non_integer_entries_are_rejected():
+    half = F(1, 2)
+    with pytest.raises(ValueError):
+        graver_basis(((half, 1),))
+    with pytest.raises(ValueError):
+        GraverBasis(((1, 1),), ((half, -half),))
+    with pytest.raises(ValueError):
+        NFoldSpec(((half, 1),), ((1, 1),), 1, (0, 0))
+    with pytest.raises(ValueError):
+        NFoldSpec(((1, 1),), ((1, 1),), 1, (half, 0))
+    # integral Fractions are integers
+    assert graver_basis(((F(2), F(1)),)).elements == ((1, -2),)
+    G = graver_basis(((1, 1, 1),))
+    assert (F(1), F(-1), 0) in G and (-1, 1, 0) in G
+    assert (F(3, 2), -1, 0) not in G
+    assert (0, 0, 0) not in G
+
+
 # ---------------------------------------------------------------------------
 # n-fold matrices
 
