@@ -777,20 +777,21 @@ def cmd_relax(pf: ProblemFile, args) -> list:
     rows = tuple(" ".join(format_rat(v) for v in a)
                  + " <= " + format_rat(beta)
                  for a, beta in zip(proj.A, proj.b))
-    points = list(_box_points(lo, hi))
+    n = lifted.n
+    points = [pt[:n] for pt in lifted.cloud]
+    values = [pt[n] for pt in lifted.cloud]
     relax_points = [p for p in points if proj.contains(p)]
-    ki_points = [p for p in points if f.evaluate(p) <= 0]
+    ki_points = [p for p, v in zip(points, values) if v <= 0]
     report = [
         ("inequalities", rows),
         ("relaxation_points", _point_rows(relax_points)),
         ("ki_points", _point_rows(ki_points)),
         ("ki_equal", relax_points == ki_points),
-        ("condition_holds", check_condition(f, lo, hi)),
+        ("condition_holds", check_condition(lifted)),
     ]
     if args.brute_force:
         # p is in the projection iff some convex combination of the
         # box points hits p with nonpositive combined value
-        values = [f.evaluate(p) for p in points]
         brute_points = []
         for p in points:
             low = _cloud_minimum(points, values, p)

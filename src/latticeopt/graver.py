@@ -17,12 +17,13 @@ form the basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import (integer_vector, kernel_basis, mat_vec, rat, vadd, vneg,
-                   vscale, vsub)
+from .core import (integer_vector, kernel_basis, mat_vec, vadd, vneg, vscale,
+                   vsub)
 
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
@@ -242,7 +243,7 @@ class SeparableConvexFn:
     def value(self, x: Sequence[int]) -> Fraction:
         if len(x) != self.dimension:
             raise ValueError("point dimension mismatch")
-        return sum((self._term(i, int(v)) for i, v in enumerate(x)),
+        return sum((self._term(i, v) for i, v in enumerate(integer_vector(x))),
                    Fraction(0))
 
     def compare(self, x: Sequence[int], y: Sequence[int]) -> int:
@@ -255,7 +256,7 @@ class SeparableConvexFn:
         diff = 0
         for i, (a, c) in enumerate(zip(x, y)):
             if a != c:
-                diff += self._term(i, int(a)) - self._term(i, int(c))
+                diff += self._term(i, a) - self._term(i, c)
         return (diff > 0) - (diff < 0)
 
     def validate_convex(self, l: Sequence[int], u: Sequence[int],
@@ -274,46 +275,6 @@ class SeparableConvexFn:
                     raise ValueError(
                         f"coordinate {i} fails convexity at {m}")
 
-    @staticmethod
-    def weighted_square(centers, weights=None) -> "SeparableConvexFn":
-        centers = tuple(rat(c) for c in centers)
-        weights = tuple(rat(w) for w in weights) if weights is not None \
-            else (Fraction(1),) * len(centers)
-        if len(weights) != len(centers) or any(w < 0 for w in weights):
-            raise ValueError("need one nonnegative weight per center")
-        return SeparableConvexFn(tuple(
-            (lambda m, c=c, w=w: w * (m - c) ** 2)
-            for c, w in zip(centers, weights)))
-
-    @staticmethod
-    def absolute_deviation(centers, weights=None) -> "SeparableConvexFn":
-        centers = tuple(rat(c) for c in centers)
-        weights = tuple(rat(w) for w in weights) if weights is not None \
-            else (Fraction(1),) * len(centers)
-        if len(weights) != len(centers) or any(w < 0 for w in weights):
-            raise ValueError("need one nonnegative weight per center")
-        return SeparableConvexFn(tuple(
-            (lambda m, c=c, w=w: w * abs(m - c))
-            for c, w in zip(centers, weights)))
-
-    @staticmethod
-    def linear(costs) -> "SeparableConvexFn":
-        costs = tuple(rat(c) for c in costs)
-        return SeparableConvexFn(tuple(
-            (lambda m, c=c: c * m) for c in costs))
-
-    @staticmethod
-    def piecewise_max(pieces) -> "SeparableConvexFn":
-        """Coordinate i evaluates max_j (a_j x + b_j) over its pieces;
-        a maximum of affine functions is convex by construction."""
-        fns = []
-        for coord_pieces in pieces:
-            cp = tuple((rat(a), rat(b)) for a, b in coord_pieces)
-            if not cp:
-                raise ValueError("each coordinate needs at least one piece")
-            fns.append(lambda m, cp=cp: max(a * m + b for a, b in cp))
-        return SeparableConvexFn(tuple(fns))
-
 
 # ---------------------------------------------------------------------------
 # optimality certificate and augmentation
@@ -323,7 +284,7 @@ def _in_box(l, u, x) -> bool:
 
 
 def _require_feasible(A, b, l, u, x0) -> IntVec:
-    x0 = tuple(int(v) for v in x0)
+    x0 = integer_vector(x0)
     if not (_in_box(l, u, x0) and tuple(mat_vec(A, x0)) == tuple(b)):
         raise ValueError("starting point is not feasible")
     return x0
@@ -547,8 +508,9 @@ def nfold_minimize(spec: NFoldSpec, f: SeparableConvexFn, l, u,
     the box; ValueError if the system is infeasible.
     """
     A = nfold_matrix(spec)
-    l = tuple(int(v) for v in l)
-    u = tuple(int(v) for v in u)
+    # the integer box is unchanged when l rounds up and u rounds down
+    l = tuple(math.ceil(v) for v in l)
+    u = tuple(math.floor(v) for v in u)
     if len(l) != spec.n * spec.t or len(u) != spec.n * spec.t:
         raise ValueError("bounds must cover all n*t variables")
     if f.dimension != spec.n * spec.t:
@@ -570,7 +532,7 @@ def nfold_minimize(spec: NFoldSpec, f: SeparableConvexFn, l, u,
 def sign_compatible_decompose(z, G: GraverBasis) -> list[tuple[int, IntVec]]:
     """Write a kernel vector as sum(alpha_i * g_i) with every g_i in z's
     orthant, greedily consuming the largest basis direction first."""
-    z = tuple(int(v) for v in z)
+    z = integer_vector(z)
     if any(mat_vec(G.matrix, z)):
         raise ValueError("vector is not in the kernel")
     out: list[tuple[int, IntVec]] = []

@@ -1,19 +1,25 @@
 """Linear relaxations of polynomial constraints over integer boxes.
 
-A vector of integer polynomials p on a box [l, u] lifts to the polytope
-spanned by the graph points (x, p(x)) over the box's lattice points.
-Intersecting that polytope with {pi <= 0} and projecting back to
-x-space yields a polyhedral relaxation of {x integer : p(x) <= 0}.
-The relaxation is generally strict, but its integer points coincide
-with the constrained set whenever every p_i stays within 1 of the
-lifted polytope's lower hull at integral barycenters; that condition,
-and (strict) integer-convexity, reduce to one small exact LP per
-lattice point of the box.
+An integer polynomial p on a box [l, u] lifts to the polytope spanned by
+the graph points (x, p(x)) over the box's lattice points.  Intersecting
+that polytope with {pi <= 0} and projecting back to x-space yields a
+polyhedral relaxation of {x integer : p(x) <= 0}.  The relaxation is
+generally strict, but its integer points coincide with the constrained
+set whenever p stays within 1 of the lifted polytope's lower hull at
+integral barycenters.
+
+A lifted polytope holds exactly one polynomial, so the projection and
+that barycenter condition are both read off the hull's lower facets,
+the rows with a negative pi coefficient.  The lower hull at x is the
+largest value those rows force on pi there.  The hull projects onto the
+box, so the projection is the box cut by the lower rows with pi
+dropped: no variable is eliminated, and no LP prunes redundant rows,
+because the irredundant rows are the hull of the cut box's vertices.
 
 Everything here is exact: hulls come from facet enumeration over the
-point cloud, projections from Fourier-Motzkin elimination with LP
-redundancy pruning, and the per-point tests from rational LPs over the
-cloud's convex multipliers.
+point cloud.  Only strict integer-convexity solves LPs, one per lattice
+point over the cloud's convex multipliers, because it needs the hull
+without that point.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .core import (
     LPProblem,
@@ -36,7 +42,7 @@ from .core import (
     vsub,
 )
 from .fptas import SparsePolynomial
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, box_polyhedron, enumerate_vertices
 
 IntVec = tuple[int, ...]
 
@@ -125,6 +131,13 @@ def convex_hull_h(points):
     return eqs, tuple(sorted(ineqs))
 
 
+def _inequalities(hull):
+    """A hull's rows as inequalities, each equality as two opposite rows."""
+    eqs, ineqs = hull
+    return list(ineqs) + [row for a, beta in eqs
+                          for row in ((a, beta), (vneg(a), -beta))]
+
+
 def _canonical_eq(a, beta):
     a2, b2 = _canonical_row(a, beta)
     if a2 != lex_canonical(a2):
@@ -137,13 +150,13 @@ def _canonical_eq(a, beta):
 
 @dataclass(frozen=True)
 class LiftedPolytope:
-    """conv{(x, p_1(x), ..., p_m(x)) : x in [l, u] integral}.
+    """conv{(x, p(x)) : x in [l, u] integral} for one polynomial p.
 
-    The cloud stores exact evaluations; the hull H-description is
-    computed on first use.
+    The cloud stores exact evaluations; the hull H-description and its
+    lower rows are computed on first use.
     """
 
-    polynomials: tuple[SparsePolynomial, ...]
+    polynomial: SparsePolynomial
     lower: IntVec
     upper: IntVec
     cloud: tuple[IntVec, ...]
@@ -152,114 +165,87 @@ class LiftedPolytope:
     def n(self) -> int:
         return len(self.lower)
 
-    @property
-    def m(self) -> int:
-        return len(self.polynomials)
-
     @cached_property
     def hull(self):
-        """(equalities, inequalities) of the hull in R^(n+m)."""
+        """(equalities, inequalities) of the hull in R^(n+1)."""
         return convex_hull_h(self.cloud)
+
+    @cached_property
+    def lower_rows(self):
+        """(a, beta, |c|) for each hull row a.x + c*pi <= beta with c < 0.
+
+        Each equality counts in both orientations, so one whose pi
+        coefficient is nonzero gives exactly one lower row.
+        """
+        return tuple((a[:-1], beta, -a[-1])
+                     for a, beta in _inequalities(self.hull) if a[-1] < 0)
+
+    def lower_hull(self, x) -> Fraction:
+        """min{pi : (x, pi) in the hull} for x in the box."""
+        return max(Fraction(dot(a, x) - beta, c)
+                   for a, beta, c in self.lower_rows)
 
 
 def build_lifted(polynomials, l, u) -> LiftedPolytope:
+    """Lift the lattice points of [l, u] by exactly one integer polynomial.
+
+    With one polynomial, the projection and the barycenter condition are
+    both read off the hull's lower facets, with no elimination and no LP
+    pruning; several would need variables eliminated again, so any other
+    count raises ValueError.
+    """
     ps = tuple(polynomials)
-    if not ps:
-        raise ValueError("need at least one polynomial")
+    if len(ps) != 1:
+        raise ValueError("need exactly one polynomial")
+    (f,) = ps
     l = tuple(int(v) for v in l)
     u = tuple(int(v) for v in u)
     if len(l) != len(u):
         raise ValueError("bound length mismatch")
     if any(lo > hi for lo, hi in zip(l, u)):
         raise ValueError("empty box")
-    for f in ps:
-        if f.dimension != len(l):
-            raise ValueError("polynomial dimension mismatch")
-        _require_integer_polynomial(f)
+    if f.dimension != len(l):
+        raise ValueError("polynomial dimension mismatch")
+    _require_integer_polynomial(f)
     count = 1
     for lo, hi in zip(l, u):
         count *= hi - lo + 1
     if count > _MAX_CLOUD:
         raise ValueError("box has too many lattice points for exact hulling")
-    cloud = tuple(
-        x + tuple(int(f.evaluate(x)) for f in ps)
-        for x in _box_points(l, u))
-    return LiftedPolytope(ps, l, u, cloud)
+    cloud = tuple(x + (int(f.evaluate(x)),) for x in _box_points(l, u))
+    return LiftedPolytope(f, l, u, cloud)
 
 
 # ---------------------------------------------------------------------------
 # projection with pi <= 0
-
-def _eliminate(rows, idx):
-    pos = [r for r in rows if r[0][idx] > 0]
-    neg = [r for r in rows if r[0][idx] < 0]
-    out = {r for r in rows if r[0][idx] == 0}
-    for (ap, bp) in pos:
-        for (an, bn) in neg:
-            lp, ln = -an[idx], ap[idx]
-            row = tuple(lp * x + ln * y for x, y in zip(ap, an))
-            out.add(_canonical_row(row, lp * bp + ln * bn))
-    return out
-
-
-def _prune(rows):
-    """Drop rows implied by the rest; None signals infeasibility."""
-    kept = []
-    for a, beta in sorted(rows):
-        if not any(a):
-            if beta < 0:
-                return None
-            continue
-        kept.append((a, beta))
-    i = 0
-    while i < len(kept):
-        a, beta = kept[i]
-        others = kept[:i] + kept[i + 1:]
-        if not others:
-            break
-        prob = LPProblem(c=tuple(Fraction(v) for v in a),
-                         A=tuple(tuple(Fraction(v) for v in r) for r, _ in
-                                 others),
-                         b=tuple(Fraction(c) for _, c in others),
-                         senses=("<=",) * len(others))
-        res = solve_lp(prob)
-        if res.status == "infeasible":
-            return None
-        if res.status == "optimal" and res.value <= beta:
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
-
 
 def empty_polyhedron(dim: int) -> Polyhedron:
     return Polyhedron(((0,) * dim,), (-1,))
 
 
 def project_with_pi_leq_0(L: LiftedPolytope) -> Polyhedron:
-    """Project hull(L) cut with {all pi-coordinates <= 0} onto x.
+    """Project hull(L) cut with {pi <= 0} onto x.
 
-    Returns the exact H-description with redundant rows removed; an
-    empty intersection comes back as a canonically empty polyhedron.
+    The hull projects onto the box, and x is in the projection exactly
+    when the lower hull at x is at most 0.  So the projection is the box
+    cut by the lower rows with pi dropped, and no variable is
+    eliminated.  No LP prunes the rows either: they are the
+    H-description of the cut box's vertices, primitive and sorted, with
+    each equality as two opposite rows.  An empty intersection comes back
+    as a canonically empty polyhedron.
     """
-    n, m = L.n, L.m
-    dim = n + m
-    eqs, ineqs = L.hull
-    rows = set()
-    for a, beta in eqs:
-        rows.add(_canonical_row(a, beta))
-        rows.add(_canonical_row(vneg(a), -beta))
-    rows.update(ineqs)
-    for i in range(m):
-        e = tuple(int(j == n + i) for j in range(dim))
-        rows.add((e, 0))
-    for idx in range(dim - 1, n - 1, -1):
-        rows = _eliminate(rows, idx)
-    sliced = {(_canonical_row(a[:n], beta)) for a, beta in rows}
-    kept = _prune(sliced)
-    if kept is None:
-        return empty_polyhedron(n)
-    kept.sort()
+    rows = L.lower_rows
+    cut = box_polyhedron(L.lower, L.upper).intersect(
+        Polyhedron(tuple(a for a, _, _ in rows),
+                   tuple(beta for _, beta, _ in rows)))
+    vertices = [v.point for v in enumerate_vertices(cut)]
+    if not vertices:
+        return empty_polyhedron(L.n)
+    # hull the vertices scaled to integers: a.(s x) <= beta is (s a).x <= beta
+    s = lcm(*(c.denominator for v in vertices for c in v))
+    hull = convex_hull_h([tuple(c * s for c in v) for v in vertices])
+    kept = sorted({_canonical_row(tuple(s * v for v in a), beta)
+                   for a, beta in _inequalities(hull)})
     return Polyhedron(tuple(a for a, _ in kept),
                       tuple(beta for _, beta in kept))
 
@@ -284,56 +270,37 @@ def _cloud_minimum(cloud, values, x, exclude=None):
     return res.value if res.status == "optimal" else None
 
 
-def _cloud_and_values(f, l, u):
-    _require_integer_polynomial(f)
-    l = tuple(int(v) for v in l)
-    u = tuple(int(v) for v in u)
-    if f.dimension != len(l) or len(l) != len(u):
-        raise ValueError("dimension mismatch")
-    if any(lo > hi for lo, hi in zip(l, u)):
-        raise ValueError("empty box")
-    cloud = tuple(_box_points(l, u))
-    if len(cloud) > _MAX_CLOUD:
-        raise ValueError("box has too many lattice points")
-    return cloud, tuple(int(f.evaluate(k)) for k in cloud)
-
-
-def check_condition(p: SparsePolynomial, l, u) -> bool:
+def check_condition(L: LiftedPolytope) -> bool:
     """True when every convex combination of lattice points with an
-    integral barycenter underestimates p there by strictly less
-    than 1.
+    integral barycenter underestimates p, the lifted polytope's one
+    polynomial, there by strictly less than 1.
 
-    For a constraint vector whose polynomials all pass, the integer
-    points of the projected relaxation are exactly the points
-    satisfying p <= 0.  The quantifier over multipliers collapses to
-    one LP per lattice point: for a fixed barycenter the extremal
-    combination is the lower-hull minimum.
+    When p passes, the integer points of the projected relaxation are
+    exactly the points satisfying p <= 0.  For a fixed barycenter x the
+    lowest combination is the lower hull at x, read off the hull's lower
+    facets, so the test solves no LP.
     """
-    cloud, values = _cloud_and_values(p, l, u)
-    for x, fx in zip(cloud, values):
-        mn = _cloud_minimum(cloud, values, x)
-        if not mn > fx - 1:
-            return False
-    return True
+    n = L.n
+    return all(L.lower_hull(pt[:n]) > pt[n] - 1 for pt in L.cloud)
 
 
-def is_integer_convex(f: SparsePolynomial, l, u) -> bool:
-    """True when no convex combination of lattice points dips below f
-    at an integral barycenter (f never exceeds the lower hull)."""
-    cloud, values = _cloud_and_values(f, l, u)
-    for x, fx in zip(cloud, values):
-        if _cloud_minimum(cloud, values, x) < fx:
-            return False
-    return True
+def is_integer_convex(L: LiftedPolytope) -> bool:
+    """True when no convex combination of lattice points dips below p
+    at an integral barycenter (p never exceeds the lower hull)."""
+    n = L.n
+    return all(L.lower_hull(pt[:n]) >= pt[n] for pt in L.cloud)
 
 
-def is_strictly_integer_convex(f: SparsePolynomial, l, u) -> bool:
+def is_strictly_integer_convex(L: LiftedPolytope) -> bool:
     """Strict variant: combinations that do not simply reproduce x
-    must stay strictly above f(x).  Implies every (x, f(x)) is a
-    vertex of the lifted hull."""
-    cloud, values = _cloud_and_values(f, l, u)
-    for x, fx in zip(cloud, values):
-        mn = _cloud_minimum(cloud, values, x, exclude=x)
+    must stay strictly above p(x).  Implies every (x, p(x)) is a
+    vertex of the lifted hull.  The hull without the point is not the
+    lifted hull, so each point solves one LP."""
+    n = L.n
+    points = [pt[:n] for pt in L.cloud]
+    values = [pt[n] for pt in L.cloud]
+    for x, fx in zip(points, values):
+        mn = _cloud_minimum(points, values, x, exclude=x)
         if mn is not None and mn <= fx:
             return False
     return True

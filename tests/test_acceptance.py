@@ -22,7 +22,6 @@ All randomness is seeded; everything is exact rational arithmetic.
 
 import hashlib
 import itertools
-import os
 import random
 import subprocess
 import sys
@@ -47,6 +46,9 @@ from latticeopt.indepsys import (IndependenceSystem, PrimitiveTuple,
 from latticeopt.polyhedra import (Polyhedron, SimplicialCone, box_polyhedron,
                                   bounding_box, is_empty)
 from latticeopt.polyrelax import build_lifted, project_with_pi_leq_0
+from separable_terms import (absolute_deviation, linear, piecewise_max,
+                             weighted_square)
+from subprocess_env import cli_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -110,17 +112,16 @@ def is_edge(p, q, verts):
 def random_separable(rng: random.Random, dim: int) -> SeparableConvexFn:
     kind = rng.randrange(4)
     if kind == 0:
-        return SeparableConvexFn.weighted_square(
+        return weighted_square(
             tuple(rng.randint(-2, 4) for _ in range(dim)),
             tuple(rng.randint(0, 3) for _ in range(dim)))
     if kind == 1:
-        return SeparableConvexFn.absolute_deviation(
+        return absolute_deviation(
             tuple(rng.randint(-2, 4) for _ in range(dim)),
             tuple(rng.randint(0, 3) for _ in range(dim)))
     if kind == 2:
-        return SeparableConvexFn.linear(
-            tuple(rng.randint(-3, 3) for _ in range(dim)))
-    return SeparableConvexFn.piecewise_max(tuple(
+        return linear(tuple(rng.randint(-3, 3) for _ in range(dim)))
+    return piecewise_max(tuple(
         tuple((rng.randint(-3, 3), rng.randint(-3, 3))
               for _ in range(rng.randint(1, 3)))
         for _ in range(dim)))
@@ -630,11 +631,10 @@ def test_a11_output_is_byte_identical_across_runs_and_jobs():
     for command, fixture, extra, digest in CASES:
         outs = []
         for seed in ("1", "99"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "latticeopt.cli", command,
                  str(FIXTURES / fixture), *extra],
-                capture_output=True, env=env)
+                capture_output=True, env=cli_env(PYTHONHASHSEED=seed))
             assert proc.returncode == 0, (command, fixture, proc.stderr)
             outs.append(proc.stdout)
         assert outs[0] == outs[1], (command, fixture)

@@ -7,7 +7,6 @@ so accidental set-iteration order cannot hide.
 
 import io
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +16,7 @@ import pytest
 
 import latticeopt.cli as cli
 from latticeopt.cli import CLIError, main, parse_problem
+from subprocess_env import cli_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -479,11 +479,11 @@ DETERMINISM_CASES = (
 def test_output_bytes_survive_hash_seed_and_jobs(command, fixture):
     outputs = []
     for seed in ("1", "77"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
         proc = subprocess.run(
             [sys.executable, "-m", "latticeopt.cli", command,
              str(FIXTURES / fixture), "--brute-force"],
-            capture_output=True, env=env, cwd=str(FIXTURES.parent.parent))
+            capture_output=True, env=cli_env(PYTHONHASHSEED=seed),
+            cwd=str(FIXTURES.parent.parent))
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
@@ -558,6 +558,6 @@ def test_module_invocation_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "latticeopt.cli", "count",
          str(FIXTURES / "unit_cube.txt"), "--format", "json"],
-        capture_output=True)
+        capture_output=True, env=cli_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 8

@@ -22,6 +22,8 @@ from latticeopt.graver import (
     nfold_minimize,
     sign_compatible_decompose,
 )
+from separable_terms import (absolute_deviation, linear, piecewise_max,
+                             weighted_square)
 
 F = Fraction
 
@@ -142,6 +144,28 @@ def test_non_integer_entries_are_rejected():
     assert (0, 0, 0) not in G
 
 
+def test_non_integer_points_are_rejected():
+    A = ((1, 1, 1),)
+    G = graver_basis(A)
+    f = weighted_square((0, 0, 0))
+    z = (F(3, 2), F(-3, 2), 0)
+    with pytest.raises(ValueError):
+        check_optimality(z, f, A, (0,), (-2,) * 3, (2,) * 3, G)
+    with pytest.raises(ValueError):
+        sign_compatible_decompose(z, G)
+    with pytest.raises(ValueError):
+        f.value(z)
+    assert f.value((F(1), F(-1), 0)) == 2
+
+
+def test_nfold_minimize_keeps_fractional_bounds():
+    # x1 + x2 = 2 with x in [1/2, 2]^2: the box holds (1, 1) and (2, 0)
+    # is cut, so the least x1 is 1; truncating 1/2 to 0 would allow (0, 2)
+    spec = NFoldSpec(((1, 1),), ((0, 0),), 1, (2, 0))
+    res = nfold_minimize(spec, linear((1, 0)), (F(1, 2), F(1, 2)), (2, 2))
+    assert res.x == (1, 1) and res.value == 1 and res.certified
+
+
 # ---------------------------------------------------------------------------
 # n-fold matrices
 
@@ -179,23 +203,23 @@ def test_nfold_spec_validation():
 # separable convex objectives
 
 def test_builtin_objectives_evaluate():
-    sq = SeparableConvexFn.weighted_square((3, 0), (1, 2))
+    sq = weighted_square((3, 0), (1, 2))
     assert sq.value((5, 1)) == 4 + 2
-    ab = SeparableConvexFn.absolute_deviation((1,))
+    ab = absolute_deviation((1,))
     assert ab.value((-2,)) == 3
-    lin = SeparableConvexFn.linear((F(1, 2), -1))
+    lin = linear((F(1, 2), -1))
     assert lin.value((4, 3)) == -1
-    pw = SeparableConvexFn.piecewise_max((((1, 0), (-1, 0)),))  # |x|
+    pw = piecewise_max((((1, 0), (-1, 0)),))  # |x|
     assert pw.value((-7,)) == 7
     assert sq.compare((3, 0), (5, 1)) == -1
     assert sq.compare((2, 0), (4, 0)) == 0
 
 
 def test_convexity_validation():
-    for f in (SeparableConvexFn.weighted_square((0,)),
-              SeparableConvexFn.absolute_deviation((2,)),
-              SeparableConvexFn.linear((-3,)),
-              SeparableConvexFn.piecewise_max((((2, -1), (-1, 4)),))):
+    for f in (weighted_square((0,)),
+              absolute_deviation((2,)),
+              linear((-3,)),
+              piecewise_max((((2, -1), (-1, 4)),))):
         f.validate_convex((-5,), (5,))
     bad = SeparableConvexFn((lambda m: F(-m * m),))
     with pytest.raises(ValueError):
@@ -204,9 +228,9 @@ def test_convexity_validation():
 
 def test_superadditivity_in_common_orthant():
     rng = random.Random(5)
-    fs = [SeparableConvexFn.weighted_square((1, -2, 0), (1, 3, F(1, 2))),
-          SeparableConvexFn.absolute_deviation((0, 2, -1)),
-          SeparableConvexFn.piecewise_max(
+    fs = [weighted_square((1, -2, 0), (1, 3, F(1, 2))),
+          absolute_deviation((0, 2, -1)),
+          piecewise_max(
               (((1, 0), (-2, 1)), ((0, 0), (3, -2)), ((-1, -1),)))]
     for _ in range(40):
         signs = [rng.choice([-1, 1]) for _ in range(3)]
@@ -258,10 +282,9 @@ def test_each_term_is_evaluated_once_per_integer():
 
 def test_compare_is_sign_of_value_difference():
     rng = random.Random(23)
-    fs = [SeparableConvexFn.weighted_square((1, F(-5, 2), 0, 3),
-                                            (2, 1, F(1, 3), 0)),
-          SeparableConvexFn.absolute_deviation((0, 2, F(1, 2), -1)),
-          SeparableConvexFn.piecewise_max(
+    fs = [weighted_square((1, F(-5, 2), 0, 3), (2, 1, F(1, 3), 0)),
+          absolute_deviation((0, 2, F(1, 2), -1)),
+          piecewise_max(
               (((1, 0), (-1, 0)), ((2, 1),), ((0, 0), (1, -2)),
                ((-3, 1), (1, 1))))]
     seen = collections.Counter()
@@ -282,7 +305,7 @@ def test_compare_is_sign_of_value_difference():
 
 
 def test_dimension_mismatch_raises():
-    f = SeparableConvexFn.weighted_square((0, 0, 0))
+    f = weighted_square((0, 0, 0))
     for x, y in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)),
                  ((1, 2), (1, 2))):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -313,7 +336,7 @@ def setup_transport():
     A = ((1, 1),)
     b = (4,)
     l, u = (0, 0), (4, 4)
-    f = SeparableConvexFn.weighted_square((3, 3))
+    f = weighted_square((3, 3))
     return A, b, l, u, f, graver_basis(A)
 
 
@@ -336,7 +359,7 @@ def test_certificate_rejects_suboptimal_point():
 def test_certificate_on_unique_point():
     A = ((1, 0), (0, 1))
     G = graver_basis(A)
-    f = SeparableConvexFn.weighted_square((0, 0))
+    f = weighted_square((0, 0))
     assert check_optimality((1, 2), f, A, (1, 2), (0, 0), (3, 3), G) \
         == (True, None)
 
@@ -365,7 +388,7 @@ def test_augment_keeps_optimum():
 def test_augment_four_fold_matches_brute_force():
     spec = NFoldSpec(((1,),), ((1,),), 4, (6, 1, 2, 0, 3))
     A = nfold_matrix(spec)
-    f = SeparableConvexFn.weighted_square((2, 2, 2, 2))
+    f = weighted_square((2, 2, 2, 2))
     l, u = (0,) * 4, (6,) * 4
     x0 = (1, 2, 0, 3)
     res = greedy_augment(x0, f, A, spec.b, l, u, graver_basis(A))
@@ -382,7 +405,7 @@ def test_augment_step_counts_stay_modest():
         seed = tuple(rng.randint(l[i], u[i]) for i in range(n))
         b = tuple(mat_vec(A, seed))
         centers = tuple(rng.randint(-2, 6) for _ in range(n))
-        f = SeparableConvexFn.weighted_square(centers)
+        f = weighted_square(centers)
         G = graver_basis(A)
         res = greedy_augment(seed, f, A, b, l, u, G)
         fstar = brute_minimum(A, b, l, u, f)
@@ -399,7 +422,7 @@ def test_basis_of_another_matrix_is_rejected():
     G = graver_basis(((1, 2, 3),))
     A, b = ((1, 1, 1),), (3,)
     l, u = (0, 0, 0), (3, 3, 3)
-    f = SeparableConvexFn.weighted_square((1, 0, 1))
+    f = weighted_square((1, 0, 1))
     assert brute_minimum(A, b, l, u, f) < f.value((2, 1, 0))
     with pytest.raises(ValueError, match="kernel"):
         greedy_augment((2, 1, 0), f, A, b, l, u, G)
@@ -441,7 +464,7 @@ def test_enumerate_fiber_matches_box_scan():
 
 def test_nfold_minimize_unique_point():
     spec = NFoldSpec(((1,),), ((1,),), 2, (3, 1, 2))
-    f = SeparableConvexFn.weighted_square((0, 0))
+    f = weighted_square((0, 0))
     res = nfold_minimize(spec, f, (0, 0), (5, 5))
     assert res.x == (1, 2) and res.certified
     assert res.value == brute_minimum(nfold_matrix(spec), spec.b,
@@ -450,7 +473,7 @@ def test_nfold_minimize_unique_point():
 
 def test_nfold_minimize_detects_infeasible():
     spec = NFoldSpec(((1,),), ((1,),), 2, (3, 1, 1))
-    f = SeparableConvexFn.weighted_square((0, 0))
+    f = weighted_square((0, 0))
     with pytest.raises(ValueError):
         nfold_minimize(spec, f, (0, 0), (5, 5))
 
@@ -458,7 +481,7 @@ def test_nfold_minimize_detects_infeasible():
 def test_nfold_minimize_linear_objective():
     # copies share one coupling row; second block row pins each x_i
     spec = NFoldSpec(((1, 1),), ((1, 0),), 2, (5, 1, 2))
-    f = SeparableConvexFn.linear((0, 3, 0, 1))
+    f = linear((0, 3, 0, 1))
     l, u = (0,) * 4, (5,) * 4
     res = nfold_minimize(spec, f, l, u)
     A = nfold_matrix(spec)
@@ -476,12 +499,10 @@ def test_nfold_minimize_quadratic_matches_brute_force():
         spec = NFoldSpec(((1,),), ((1,),), n, (b0,) + caps)
         if sum(caps) != b0:
             with pytest.raises(ValueError):
-                nfold_minimize(spec,
-                               SeparableConvexFn.weighted_square((0,) * n),
+                nfold_minimize(spec, weighted_square((0,) * n),
                                (0,) * n, (8,) * n)
             continue
-        f = SeparableConvexFn.weighted_square(
-            tuple(rng.randint(0, 4) for _ in range(n)))
+        f = weighted_square(tuple(rng.randint(0, 4) for _ in range(n)))
         res = nfold_minimize(spec, f, (0,) * n, (8,) * n)
         assert res.value == brute_minimum(nfold_matrix(spec), spec.b,
                                           (0,) * n, (8,) * n, f)
@@ -542,7 +563,7 @@ def test_certificate_soundness_randomized():
         u = tuple(rng.randint(1, 4) for _ in range(n))
         seed = tuple(rng.randint(0, u[i]) for i in range(n))
         b = tuple(mat_vec(A, seed))
-        f = SeparableConvexFn.weighted_square(
+        f = weighted_square(
             tuple(rng.randint(-1, 5) for _ in range(n)),
             tuple(rng.choice([1, 1, 2, F(1, 2)]) for _ in range(n)))
         G = graver_basis(A)

@@ -3,13 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from latticeopt.core import LPProblem, dot, solve_lp, vneg
+from latticeopt import cli, core, polyhedra, polyrelax
+from latticeopt.core import LPProblem, dot, rational_rank, solve_lp, vneg, vsub
 from latticeopt.fptas import SparsePolynomial
-from latticeopt.polyhedra import Polyhedron, is_empty
+from latticeopt.polyhedra import Polyhedron, enumerate_vertices, is_empty
 from latticeopt.polyrelax import (
+    _cloud_minimum,
     build_lifted,
     check_condition,
     convex_hull_h,
@@ -18,6 +21,7 @@ from latticeopt.polyrelax import (
     project_with_pi_leq_0,
 )
 from polynomial_power import power_polynomial
+from relax_reference import project_fourier_motzkin
 
 F = Fraction
 
@@ -66,6 +70,8 @@ def test_lifted_cloud_is_exact():
 def test_lifted_validation():
     with pytest.raises(ValueError):
         build_lifted([], (0,), (2,))
+    with pytest.raises(ValueError):
+        build_lifted([X2, X2], (0,), (2,))
     with pytest.raises(ValueError):
         build_lifted([X2], (3,), (2,))
     with pytest.raises(ValueError):
@@ -170,8 +176,9 @@ def test_projection_contains_constrained_set_randomized():
 def test_projection_gap_appears_when_condition_fails():
     # p = -x^2 + 2x on [0,2]: midpoint of (0,0) and (2,0) hides x = 1
     p = poly(1, (-1, (2,)), (2, (1,)))
-    assert not check_condition(p, (0,), (2,))
-    P = project_with_pi_leq_0(build_lifted([p], (0,), (2,)))
+    L = build_lifted([p], (0,), (2,))
+    assert not check_condition(L)
+    P = project_with_pi_leq_0(L)
     K = {x for x in box_points((0,), (2,)) if p.evaluate(x) <= 0}
     relaxed = {x for x in box_points((0,), (2,)) if P.contains(x)}
     assert K == {(0,), (2,)}
@@ -190,20 +197,144 @@ def test_condition_implies_exact_integer_projection():
                  (a2, (0, 2)), (-2 * a2 * c2, (0, 1)),
                  (a1 * c1 * c1 + a2 * c2 * c2 - t, (0, 0)))
         l, u = (0, 0), (2, 2)
-        assert check_condition(p, l, u)      # convex, so always passes
-        P = project_with_pi_leq_0(build_lifted([p], l, u))
+        L = build_lifted([p], l, u)
+        assert check_condition(L)            # convex, so always passes
+        P = project_with_pi_leq_0(L)
         K = {x for x in box_points(l, u) if p.evaluate(x) <= 0}
         assert {x for x in box_points(l, u) if P.contains(x)} == K
         done += 1
+
+
+def random_poly(rng, n, terms, top):
+    mons = [(rng.randint(-5, 5), tuple(rng.randint(0, top) for _ in range(n)))
+            for _ in range(terms)] + [(-rng.randint(0, 8), (0,) * n)]
+    return poly(n, *([m for m in mons if m[0]] or [(1, (0,) * n)]))
+
+
+def relax_cases():
+    """(p, l, u): the workloads' interval and box shapes, random 1-3-D
+    clouds, and projections of lower dimension."""
+    rng = random.Random(29)
+    for _ in range(25):                  # 1-D intervals of 5-9 points
+        lo = rng.randint(-2, 0)
+        p = poly(1, *[m for m in ((rng.randint(1, 3), (2,)),
+                                  (rng.randint(-4, 4), (1,)),
+                                  (-rng.randint(1, 20), (0,))) if m[0]])
+        yield p, (lo,), (lo + rng.randint(4, 8),)
+    for _ in range(40):                  # 2-D boxes of 6 and 8 points
+        a, c = rng.choice(((1, 2), (2, 1), (1, 3), (3, 1)))
+        lo = (rng.randint(-1, 0), rng.randint(-1, 0))
+        mons = ((rng.randint(1, 3), (2, 0)), (rng.randint(1, 3), (0, 2)),
+                (rng.randint(-1, 1), (1, 1)), (rng.randint(-2, 2), (1, 0)),
+                (-rng.randint(2, 12), (0, 0)))
+        yield poly(2, *[m for m in mons if m[0]]), lo, (lo[0] + a, lo[1] + c)
+    for _ in range(40):                  # random clouds in 1-3 dimensions
+        n = rng.randint(1, 3)
+        lo = tuple(rng.randint(-2, 0) for _ in range(n))
+        hi = tuple(v + rng.randint(0, 3 if n < 3 else 1) for v in lo)
+        yield random_poly(rng, n, rng.randint(1, 5), 3), lo, hi
+    x2y2 = poly(2, (1, (2, 0)), (1, (0, 2)))
+    x2 = poly(2, (1, (2, 0)))
+    xy = poly(2, (1, (1, 0)), (1, (0, 1)))
+    for p in (x2y2, x2, xy):             # lower-dimensional projections
+        for l, u in (((-1, -1), (1, 1)), ((0, 0), (2, 2)), ((-1, 0), (2, 1))):
+            yield p, l, u
+    yield poly(1, (1, (2,))), (-2,), (2,)
+    yield poly(3, (1, (2, 0, 0)), (1, (0, 2, 0))), (-1, -1, -1), (1, 1, 1)
+
+
+def window_points(P, l, u):
+    window = [range(a - 2, b + 3) for a, b in zip(l, u)]
+    return {x for x in itertools.product(*window) if P.contains(x)}
+
+
+def test_projection_matches_fourier_motzkin():
+    lower_dim = 0
+    for p, l, u in relax_cases():
+        L = build_lifted([p], l, u)
+        got, want = project_with_pi_leq_0(L), project_fourier_motzkin(L)
+        rows = (got.A, got.b)
+        if is_empty(want):
+            assert is_empty(got) and rows == (want.A, want.b), (p, l, u)
+            continue
+        vs = [v.point for v in enumerate_vertices(got)]
+        full = rational_rank([vsub(v, vs[0]) for v in vs]) == len(l)
+        if len(l) == 1 or full:
+            assert rows == (want.A, want.b), (p, l, u)
+        else:
+            lower_dim += 1
+            assert window_points(got, l, u) == window_points(want, l, u)
+            assert vs == [v.point for v in enumerate_vertices(want)]
+    assert lower_dim >= 6
+
+
+def test_lower_hull_is_the_cloud_minimum():
+    for p, l, u in relax_cases():
+        L = build_lifted([p], l, u)
+        n = L.n
+        points = [pt[:n] for pt in L.cloud]
+        values = [pt[n] for pt in L.cloud]
+        for x in points:
+            assert L.lower_hull(x) == _cloud_minimum(points, values, x)
+
+
+def test_x2_plus_y2_projects_to_the_origin():
+    L = build_lifted([poly(2, (1, (2, 0)), (1, (0, 2)))], (-1, -1), (1, 1))
+    assert int_rows(project_with_pi_leq_0(L)) == {
+        (-1, 0, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0)}
+
+
+def box_file(tmp_path, name, p, l, u):
+    n = len(l)
+    rows = []
+    for i in range(n):
+        e = ["0"] * n
+        e[i] = "1"
+        rows.append(" ".join(e) + f" <= {u[i]}")
+        e[i] = "-1"
+        rows.append(" ".join(e) + f" <= {-l[i]}")
+    mons = [f"{c} " + " ".join(map(str, e)) for c, e in p.monomials]
+    path = tmp_path / name
+    path.write_text("POLYTOPE\n" + "\n".join(rows) + "\n\nPOLY\n"
+                    + "\n".join(mons) + "\n")
+    return path
+
+
+def test_relax_command_solves_no_lp(monkeypatch, capsys, tmp_path):
+    files = [Path(__file__).parent / "fixtures" / "cps_relax.txt"]
+    expected = []
+    for i, (p, l, u) in enumerate(itertools.islice(relax_cases(), 0, None, 9)):
+        files.append(box_file(tmp_path, f"relax{i}.txt", p, l, u))
+        L = build_lifted([p], l, u)
+        points = [pt[:L.n] for pt in L.cloud]
+        values = [pt[L.n] for pt in L.cloud]
+        expected.append([x for x in points
+                         if _cloud_minimum(points, values, x) <= 0])
+
+    def no_lp(problem):
+        raise AssertionError("solve_lp called")
+
+    for module in (core, polyhedra, polyrelax, cli):
+        if hasattr(module, "solve_lp"):
+            monkeypatch.setattr(module, "solve_lp", no_lp)
+    outputs = []
+    for path in files:
+        assert cli.main(["relax", str(path)]) == 0, path
+        fields = dict(line.partition(":")[::2]
+                      for line in capsys.readouterr().out.splitlines())
+        outputs.append(fields["relaxation_points"].strip())
+    assert outputs[0] == "0 0; 0 1; 0 2; 0 3; 1 0; 1 1; 1 2; 2 0; 2 1"
+    for got, want in zip(outputs[1:], expected):
+        assert got == "; ".join(" ".join(map(str, x)) for x in want)
 
 
 # ---------------------------------------------------------------------------
 # the barycenter condition
 
 def test_condition_basic_examples():
-    assert check_condition(X2, (0,), (3,))
-    assert check_condition(CPS, (0, 0), (3, 3))
-    assert not check_condition(poly(1, (-1, (2,))), (0,), (3,))
+    assert check_condition(build_lifted([X2], (0,), (3,)))
+    assert check_condition(build_lifted([CPS], (0, 0), (3, 3)))
+    assert not check_condition(build_lifted([poly(1, (-1, (2,)))], (0,), (3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +372,17 @@ def hull_floor(f, l, u, x):
 
 
 def test_integer_convexity_basics():
-    assert is_integer_convex(X2, (0,), (3,))
-    assert not is_integer_convex(poly(1, (-1, (2,))), (0,), (3,))
-    assert is_strictly_integer_convex(X2, (0,), (3,))
+    assert is_integer_convex(build_lifted([X2], (0,), (3,)))
+    assert not is_integer_convex(build_lifted([poly(1, (-1, (2,)))], (0,),
+                                              (3,)))
+    assert is_strictly_integer_convex(build_lifted([X2], (0,), (3,)))
     linear = poly(1, (1, (1,)))
-    assert is_integer_convex(linear, (0,), (3,))
-    assert not is_strictly_integer_convex(linear, (0,), (3,))
+    assert is_integer_convex(build_lifted([linear], (0,), (3,)))
+    assert not is_strictly_integer_convex(build_lifted([linear], (0,), (3,)))
 
 
 def test_nonconvex_cubic_is_integer_convex():
-    assert is_integer_convex(CUBIC, (1,), (4,))
+    assert is_integer_convex(build_lifted([CUBIC], (1,), (4,)))
     # yet real convexity fails between the first two lattice points
     mid = CUBIC.evaluate((F(3, 2),))
     assert 2 * mid > CUBIC.evaluate((1,)) + CUBIC.evaluate((2,))
@@ -267,13 +399,13 @@ def test_integer_convexity_agrees_with_hull_oracle():
     for f, l, u in cases:
         expect = all(hull_floor(f, l, u, x) >= f.evaluate(x)
                      for x in box_points(l, u))
-        assert is_integer_convex(f, l, u) == expect, (f, l, u)
+        assert is_integer_convex(build_lifted([f], l, u)) == expect, (f, l, u)
 
 
 def test_conic_combinations_stay_integer_convex():
     # 2*x^2 + 3*(x^3 - 5x^2), both integer-convex on [1,4]
     f = poly(1, (3, (3,)), (-13, (2,)))
-    assert is_integer_convex(f, (1,), (4,))
+    assert is_integer_convex(build_lifted([f], (1,), (4,)))
 
 
 def compose_linear(q, coeffs, gamma, dim):
@@ -292,13 +424,13 @@ def test_composition_with_linear_map_stays_integer_convex():
     # h maps [0,1]x[0,2] onto [1,4], the cubic's certified range
     for q in (X2, CUBIC):
         p = compose_linear(q, (1, 1), 1, 2)
-        assert is_integer_convex(p, (0, 0), (1, 2)), q
+        assert is_integer_convex(build_lifted([p], (0, 0), (1, 2))), q
 
 
 def test_strict_convexity_certifies_vertices():
     l, u = (0,), (3,)
-    assert is_strictly_integer_convex(X2, l, u)
     L = build_lifted([X2], l, u)
+    assert is_strictly_integer_convex(L)
     for pt in L.cloud:
         others = [p for p in L.cloud if p != pt]
         assert not in_hull(pt, others)
