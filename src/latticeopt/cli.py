@@ -40,6 +40,7 @@ reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -101,11 +102,17 @@ def _fail(lineno: Optional[int], msg: str) -> CLIError:
     return CLIError(4, f"line {lineno}: {msg}")
 
 
-def _rat_tok(tok: str, lineno: int) -> Fraction:
-    try:
-        return parse_rat(tok)
-    except (ValueError, ZeroDivisionError):
-        raise _fail(lineno, f"expected a rational, got {tok!r}") from None
+def _rat_tok(tok: str, lineno: int, memo: dict) -> Fraction:
+    # memo maps token text to value within one problem file, so parse_rat
+    # runs once per distinct text; a bad token is never stored and fails
+    # on the line where the parse first meets it
+    value = memo.get(tok)
+    if value is None:
+        try:
+            value = memo[tok] = parse_rat(tok)
+        except (ValueError, ZeroDivisionError):
+            raise _fail(lineno, f"expected a rational, got {tok!r}") from None
+    return value
 
 
 def _int_tok(tok: str, lineno: int) -> int:
@@ -143,33 +150,33 @@ class ProblemFile:
     origin: Origin = field(default_factory=Origin, compare=False, repr=False)
 
 
-def _build_polytope(entries, header):
+def _build_polytope(entries, header, memo):
     rows, rhs, lines = [], [], []
     width = None
     for lineno, toks in entries:
         if len(toks) < 3 or toks[-2] != "<=":
             raise _fail(lineno, "expected 'a_1 ... a_n <= b'")
-        a = tuple(_rat_tok(t, lineno) for t in toks[:-2])
+        a = tuple(_rat_tok(t, lineno, memo) for t in toks[:-2])
         if width is None:
             width = len(a)
         elif len(a) != width:
             raise _fail(lineno,
                         f"row has {len(a)} coefficients, expected {width}")
         rows.append(a)
-        rhs.append(_rat_tok(toks[-1], lineno))
+        rhs.append(_rat_tok(toks[-1], lineno, memo))
         lines.append(lineno)
     if not rows:
         raise _fail(header, "POLYTOPE section is empty")
     return Polyhedron(tuple(rows), tuple(rhs)), tuple(lines)
 
 
-def _build_poly(entries, header):
+def _build_poly(entries, header, memo):
     monomials = []
     width = None
     for lineno, toks in entries:
         if len(toks) < 2:
             raise _fail(lineno, "expected 'coeff e_1 ... e_n'")
-        c = _rat_tok(toks[0], lineno)
+        c = _rat_tok(toks[0], lineno, memo)
         e = tuple(_int_tok(t, lineno) for t in toks[1:])
         if any(x < 0 for x in e):
             raise _fail(lineno, "exponents must be nonnegative")
@@ -221,23 +228,23 @@ def _build_nfold(entries, header):
         raise _fail(header, str(e)) from None
 
 
-def _build_objective(entries, header):
+def _build_objective(entries, header, memo):
     terms, lines = [], []
     for lineno, toks in entries:
         kind = toks[0]
         if kind in ("sq", "abs"):
             if len(toks) != 2:
                 raise _fail(lineno, f"'{kind}' takes one parameter")
-            terms.append((kind, _rat_tok(toks[1], lineno)))
+            terms.append((kind, _rat_tok(toks[1], lineno, memo)))
         elif kind == "pwl":
-            vals = [_rat_tok(t, lineno) for t in toks[1:]]
+            vals = [_rat_tok(t, lineno, memo) for t in toks[1:]]
             if not vals or len(vals) % 2:
                 raise _fail(lineno, "'pwl' needs slope/intercept pairs")
             terms.append(("pwl", tuple(zip(vals[0::2], vals[1::2]))))
         elif kind == "tab":
             if len(toks) < 2:
                 raise _fail(lineno, "'tab' needs at least one value")
-            terms.append(("tab", tuple(_rat_tok(t, lineno)
+            terms.append(("tab", tuple(_rat_tok(t, lineno, memo)
                                        for t in toks[1:])))
         else:
             raise _fail(lineno, f"unknown objective term {kind!r} "
@@ -311,19 +318,20 @@ def parse_problem(text: str) -> ProblemFile:
     if not chunks:
         raise _fail(None, "empty problem file")
 
+    memo: dict[str, Fraction] = {}
     polytope = poly = nfold = objective = indep = weights = tuple_a = None
     row_lines: tuple[int, ...] = ()
     term_lines: tuple[int, ...] = ()
     if "POLYTOPE" in chunks:
         polytope, row_lines = _build_polytope(chunks["POLYTOPE"],
-                                              headers["POLYTOPE"])
+                                              headers["POLYTOPE"], memo)
     if "POLY" in chunks:
-        poly = _build_poly(chunks["POLY"], headers["POLY"])
+        poly = _build_poly(chunks["POLY"], headers["POLY"], memo)
     if "NFOLD" in chunks:
         nfold = _build_nfold(chunks["NFOLD"], headers["NFOLD"])
     if "OBJECTIVE" in chunks:
         objective, term_lines = _build_objective(chunks["OBJECTIVE"],
-                                                 headers["OBJECTIVE"])
+                                                 headers["OBJECTIVE"], memo)
     if "INDEP" in chunks:
         indep = _build_indep(chunks["INDEP"], headers["INDEP"])
     if "WEIGHTS" in chunks:
@@ -858,37 +866,37 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CLIError(4, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process,
+    so that main() may run in a loop."""
+    common = _ArgumentParser(add_help=False)
+    common.add_argument("file", help="problem file, or '-' for stdin")
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument("--brute-force", action="store_true",
+                        help="cross-check against enumeration "
+                             "(desk-scale inputs)")
+    common.add_argument("--timing", action="store_true",
+                        help="print elapsed seconds to stderr")
     top = _ArgumentParser(
         prog="latticeopt",
         description="exact lattice counting and optimization")
     commands = top.add_subparsers(dest="command", metavar="command",
                                   required=True)
     specs = (
-        ("count", cmd_count, "count lattice points of POLYTOPE"),
-        ("optimize", cmd_optimize, "maximize POLY over POLYTOPE (FPTAS)"),
-        ("nfold", cmd_nfold, "minimize a separable convex n-fold program"),
-        ("graver", cmd_graver, "list the Graver basis of the NFOLD matrix"),
-        ("convexmax", cmd_convexmax,
-         "maximize a composite convex objective over a fiber"),
-        ("relax", cmd_relax, "project the lifted polynomial relaxation"),
-        ("indepsys", cmd_indepsys,
-         "run the one-call strategy on an independence system"),
+        ("count", "count lattice points of POLYTOPE"),
+        ("optimize", "maximize POLY over POLYTOPE (FPTAS)"),
+        ("nfold", "minimize a separable convex n-fold program"),
+        ("graver", "list the Graver basis of the NFOLD matrix"),
+        ("convexmax", "maximize a composite convex objective over a fiber"),
+        ("relax", "project the lifted polynomial relaxation"),
+        ("indepsys", "run the one-call strategy on an independence system"),
     )
-    for name, fn, help_text in specs:
-        sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("file", help="problem file, or '-' for stdin")
-        sub.add_argument("--format", choices=("text", "json"),
-                         default="text")
-        sub.add_argument("--brute-force", action="store_true",
-                         help="cross-check against enumeration "
-                              "(desk-scale inputs)")
-        sub.add_argument("--timing", action="store_true",
-                         help="print elapsed seconds to stderr")
+    for name, help_text in specs:
+        sub = commands.add_parser(name, help=help_text, parents=[common])
         if name == "optimize":
             sub.add_argument("--epsilon", default="1/4", metavar="EPS",
                              help="approximation quality (rational)")
-        sub.set_defaults(func=fn)
     return top
 
 
@@ -907,7 +915,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
         problem = parse_problem(_read_input(args.file))
-        report = args.func(problem, args)
+        # looked up at call time, so a cmd_* rebound in this module's
+        # namespace after the parser was built still runs
+        report = globals()[f"cmd_{args.command}"](problem, args)
         sys.stdout.write(emit(report, args.format))
         if args.timing:
             print(f"elapsed_seconds: {time.perf_counter() - started:.3f}",

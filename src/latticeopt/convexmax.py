@@ -107,39 +107,6 @@ class CompositeObjective:
                 raise ValueError(
                     f"objective is not convex: midpoint of {y} and {z}")
 
-    # built-in functionals ---------------------------------------------
-
-    @staticmethod
-    def max_of_linear(weights, terms) -> "CompositeObjective":
-        """c(y) = max over (coeffs, offset) pairs of coeffs.y + offset."""
-        tm = tuple((tuple(Fraction(a) for a in cs), Fraction(off))
-                   for cs, off in terms)
-        if not tm:
-            raise ValueError("need at least one linear term")
-        return CompositeObjective(
-            tuple(weights),
-            evaluator=lambda y, tm=tm: max(dot(cs, y) + off
-                                           for cs, off in tm))
-
-    @staticmethod
-    def sum_of_squares(weights) -> "CompositeObjective":
-        return CompositeObjective(
-            tuple(weights), evaluator=lambda y: sum(a * a for a in y))
-
-    @staticmethod
-    def l1_norm(weights) -> "CompositeObjective":
-        return CompositeObjective(
-            tuple(weights), evaluator=lambda y: sum(abs(a) for a in y))
-
-    @staticmethod
-    def from_table(weights, table) -> "CompositeObjective":
-        """c given by an explicit point -> value mapping.  Lookups
-        outside the table raise KeyError; cover the image range."""
-        tb = {tuple(int(a) for a in k): Fraction(v)
-              for k, v in dict(table).items()}
-        return CompositeObjective(
-            tuple(weights), evaluator=lambda y, tb=tb: tb[tuple(y)])
-
 
 # ---------------------------------------------------------------------------
 # edge-direction sets

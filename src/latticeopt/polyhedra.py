@@ -50,9 +50,12 @@ class Polyhedron:
     b: tuple
 
     def __post_init__(self):
-        A = tuple(tuple(Fraction(x) for x in row) for row in self.A)
+        # a Fraction is immutable: keep it rather than build an equal copy
+        A = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                        for x in row) for row in self.A)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
+        object.__setattr__(self, "b", tuple(
+            x if type(x) is Fraction else Fraction(x) for x in self.b))
         if A and any(len(row) != len(A[0]) for row in A):
             raise ValueError("ragged constraint matrix")
         if len(A) != len(self.b):

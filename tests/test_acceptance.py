@@ -29,8 +29,9 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
-from latticeopt.convexmax import (CompositeObjective, EdgeDirectionSet,
-                                  lip_oracle, maximize_composite)
+from composite_objectives import max_of_linear, sum_of_squares
+from latticeopt.convexmax import (EdgeDirectionSet, lip_oracle,
+                                  maximize_composite)
 from latticeopt.core import (LPProblem, det, dot, kernel_basis, lex_canonical,
                              primitive, solve_lp, vadd, vneg, vscale, vsub)
 from latticeopt.fptas import (SparsePolynomial, choose_k, compute_bounds,
@@ -448,12 +449,12 @@ def test_a09_composite_maximization_matches_brute_force():
         W = tuple(tuple(rng.randint(-2, 2) for _ in range(n))
                   for _ in range(2))
         if done % 2 == 0:
-            obj = CompositeObjective.sum_of_squares(W)
+            obj = sum_of_squares(W)
         else:
             terms = tuple((tuple(rng.randint(-3, 3) for _ in range(2)),
                            rng.randint(0, 4))
                           for _ in range(rng.randint(1, 3)))
-            obj = CompositeObjective.max_of_linear(W, terms)
+            obj = max_of_linear(W, terms)
 
         E = EdgeDirectionSet.from_graver(graver_basis(A))
         e_proj = {lex_canonical(primitive(obj.project(g)))

@@ -13,9 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import latticeopt.cli as cli
 from latticeopt.cli import CLIError, main, parse_problem
+from latticeopt.core import parse_rat
+from latticeopt.fptas import SparsePolynomial
 from subprocess_env import cli_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -97,6 +100,108 @@ def test_comments_and_blank_lines_ignored():
     problem = parse_problem(text)
     assert problem.polytope is not None
     assert len(problem.polytope.A) == 2
+
+
+# Rational tokens, read once per distinct text: the memo must give
+# parse_rat's value for every token and fail on the first bad one.
+GOOD_TOKENS = ("0", "-3", "+3", "007", "-007", "1_000", "-2_5", "3/4",
+               "-6/8", "+06/08", "1_0/2_0", "0/5", "1.5", "-.25", "2e2")
+BAD_TOKENS = ("x", "1/", "/2", "1/0", "--1", "1//2", "1__0", "_1", "1_",
+              "nan", "inf", "1/2/3", "0x10", "1/-2")
+TOKENS = st.one_of(
+    st.sampled_from(GOOD_TOKENS + BAD_TOKENS),
+    st.integers(-99, 99).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(
+        lambda pq: f"{pq[0]}/{pq[1]}"))
+
+
+def _is_rational(tok):
+    try:
+        parse_rat(tok)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+@st.composite
+def token_problems(draw):
+    """A POLYTOPE / POLY / OBJECTIVE file whose rational slots repeat a
+    few token texts; returns the text, its width and its (line, tokens)
+    slots in the order the parser reads them."""
+    pool = draw(st.lists(TOKENS, min_size=1, max_size=4))
+    # near-twins of a drawn text: a memo keyed on anything but the whole
+    # text would hand one of them the other's value
+    pool += [draw(st.sampled_from((f"-{t}", f"+{t}", f"0{t}", f"{t}/1")))
+             for t in pool]
+    tok = st.sampled_from(pool)
+    width = draw(st.integers(1, 3))
+    lines, slots = ["POLYTOPE"], []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [draw(tok) for _ in range(width + 1)]
+        lines.append(" ".join(row[:-1] + ["<="] + row[-1:]))
+        slots.append((len(lines), row))
+    lines.append("POLY")
+    for i in range(draw(st.integers(1, 3))):
+        c = draw(tok)
+        lines.append(" ".join([c, str(i)] + ["0"] * (width - 1)))
+        slots.append((len(lines), [c]))
+    lines.append("OBJECTIVE")
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("sq", "abs", "pwl", "tab")))
+        count = {"sq": 1, "abs": 1, "pwl": 2}.get(kind) or draw(
+            st.integers(1, 3))
+        params = [draw(tok) for _ in range(count)]
+        lines.append(" ".join([kind] + params))
+        slots.append((len(lines), params))
+    return "\n".join(lines) + "\n", width, slots
+
+
+@seed(7919)
+@settings(max_examples=150, deadline=None)
+@given(token_problems())
+def test_token_memo_matches_parse_rat(problem):
+    text, width, slots = problem
+    bad = next(((lineno, t) for lineno, toks in slots for t in toks
+                if not _is_rational(t)), None)
+    if bad is not None:
+        lineno, t = bad
+        with pytest.raises(CLIError) as err:
+            parse_problem(text)
+        assert err.value.code == 4
+        assert err.value.message == (f"line {lineno}: expected a rational, "
+                                     f"got {t!r}")
+        return
+    pf = parse_problem(text)
+    values = [[parse_rat(t) for t in toks] for _, toks in slots]
+    rows = len(pf.polytope.A)
+    assert pf.polytope.A == tuple(tuple(v[:-1]) for v in values[:rows])
+    assert pf.polytope.b == tuple(v[-1] for v in values[:rows])
+    assert all(type(x) is Fraction
+               for row in pf.polytope.A + (pf.polytope.b,) for x in row)
+    monomials = values[rows:len(values) - len(pf.objective)]
+    assert pf.poly == SparsePolynomial(width, tuple(
+        (v[0], (i,) + (0,) * (width - 1)) for i, v in enumerate(monomials)))
+    for (kind, payload), v in zip(pf.objective,
+                                  values[len(values) - len(pf.objective):]):
+        if kind in ("sq", "abs"):
+            assert payload == v[0]
+        elif kind == "pwl":
+            assert payload == ((v[0], v[1]),)
+        else:
+            assert payload == tuple(v)
+
+
+def test_bad_token_fails_on_its_first_line(capsys, tmp_path):
+    problem = tmp_path / "bad.txt"
+    problem.write_text("POLYTOPE\n1 <= 2\n1/0 <= 1\n1/0 <= 3\n"
+                       "POLY\n1/0 1\n")
+    code, out, err = run_cli(capsys, "count", str(problem))
+    assert (code, out) == (4, "")
+    assert err == "error: line 3: expected a rational, got '1/0'\n"
+    problem.write_text("POLYTOPE\n1 <= 2\nOBJECTIVE\nsq 1\nabs 1x\n")
+    code, _, err = run_cli(capsys, "count", str(problem))
+    assert code == 4
+    assert err == "error: line 5: expected a rational, got '1x'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +643,23 @@ def test_usage_errors_exit_4(capsys):
     assert run_cli(capsys, "count")[0] == 4
     assert run_cli(capsys, "nosuchcommand", "x.txt")[0] == 4
     assert run_cli(capsys, "count", "no_such_file.txt")[0] == 4
+
+
+def test_dispatch_reads_the_module_at_call_time(capsys, monkeypatch):
+    path = str(FIXTURES / "nfold_small.txt")
+    assert run_cli(capsys, "graver", path)[0] == 0
+    monkeypatch.setattr(cli, "cmd_graver", lambda pf, args: [("patched", 1)])
+    assert run_cli(capsys, "graver", path) == (0, "patched: 1\n", "")
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    path = str(FIXTURES / "nfold_small.txt")
+    for argv in (("graver", path), ("count", "no_such_file.txt"),
+                 ("nosuchcommand", path), ("graver", path, "--format",
+                                           "json")):
+        run_cli(capsys, *argv)
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_missing_section_exits_4(capsys):

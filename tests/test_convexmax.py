@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from composite_objectives import (from_table, l1_norm, max_of_linear,
+                                  sum_of_squares)
 from latticeopt.convexmax import (
     CompositeObjective,
     EdgeDirectionSet,
@@ -75,16 +77,16 @@ def test_objective_validation():
 
 
 def test_builtin_objectives():
-    sq = CompositeObjective.sum_of_squares(((1, 0), (0, 1)))
+    sq = sum_of_squares(((1, 0), (0, 1)))
     assert sq.project((3, 4)) == (3, 4)
     assert sq.value((3, 4)) == 25
-    l1 = CompositeObjective.l1_norm(((1, 1),))
+    l1 = l1_norm(((1, 1),))
     assert l1.value((-7,)) == 7
-    mx = CompositeObjective.max_of_linear(
+    mx = max_of_linear(
         ((1, 0), (0, 1)), (((1, 0), 0), ((0, 1), 0)))
     assert mx.value((2, 5)) == 5
     assert mx.compare((2, 5), (6, 1)) == -1
-    tb = CompositeObjective.from_table(((1, 0),), {(0,): 1, (1,): F(1, 2)})
+    tb = from_table(((1, 0),), {(0,): 1, (1,): F(1, 2)})
     assert tb.value((1,)) == F(1, 2)
 
 
@@ -97,15 +99,15 @@ def test_comparison_only_objective():
 
 
 def test_convexity_check_flags_bad_table():
-    good = CompositeObjective.from_table(
+    good = from_table(
         ((1, 0),), {(0,): 0, (1,): 1, (2,): 3})
     good.validate_convex([(0,), (1,), (2,)])
-    bad = CompositeObjective.from_table(
+    bad = from_table(
         ((1, 0),), {(0,): 0, (1,): 5, (2,): 3})
     with pytest.raises(ValueError):
         bad.validate_convex([(0,), (1,), (2,)])
     # midpoints outside a partial table are skipped, not errors
-    sparse = CompositeObjective.from_table(((1, 0),), {(0,): 0, (2,): 3})
+    sparse = from_table(((1, 0),), {(0,): 0, (2,): 3})
     sparse.validate_convex([(0,), (2,)])
 
 
@@ -333,7 +335,7 @@ def test_maximize_linear_case_reduces_to_lip():
 
 def test_maximize_sum_of_squares_small():
     A, b, u = ((1, 1, 1),), (4,), (4, 4, 4)
-    obj = CompositeObjective.sum_of_squares(((1, 0, 0), (0, 1, 2)))
+    obj = sum_of_squares(((1, 0, 0), (0, 1, 2)))
     E = EdgeDirectionSet.from_graver(graver_basis(A))
     x = maximize_composite(A, b, u, obj, E)
     assert obj.value(obj.project(x)) == brute_best(A, b, u, obj)
@@ -341,7 +343,7 @@ def test_maximize_sum_of_squares_small():
 
 
 def test_maximize_infeasible_and_empty_directions():
-    obj = CompositeObjective.sum_of_squares(((1, 0),))
+    obj = sum_of_squares(((1, 0),))
     E = EdgeDirectionSet.from_vectors([(1, -1)])
     with pytest.raises(ValueError):
         maximize_composite(((2, 2),), (3,), (4, 4), obj, E)
@@ -353,7 +355,7 @@ def test_maximize_infeasible_and_empty_directions():
 def test_maximize_image_collapses_to_point():
     # both weights orthogonal to the only edge direction
     A, b, u = ((1, 1),), (3,), (3, 3)
-    obj = CompositeObjective.sum_of_squares(((1, 1), (2, 2)))
+    obj = sum_of_squares(((1, 1), (2, 2)))
     E = EdgeDirectionSet.from_graver(graver_basis(A))
     x = maximize_composite(A, b, u, obj, E)
     assert x == (0, 3)
@@ -363,7 +365,7 @@ def test_maximize_image_collapses_to_point():
 def test_maximize_prefers_lexicographic_preimage():
     # image ignores x2 entirely, so many preimages share each vertex
     A, b, u = ((0, 0, 1),), (2,), (4, 4, 2)
-    obj = CompositeObjective.sum_of_squares(((1, 0, 0), (0, 0, 1)))
+    obj = sum_of_squares(((1, 0, 0), (0, 0, 1)))
     E = EdgeDirectionSet.from_vectors([(1, 0, 0), (0, 1, 0), (1, -1, 0)])
     x = maximize_composite(A, b, u, obj, E)
     assert x == (4, 0, 2)
@@ -374,10 +376,10 @@ def random_objective(rng, n):
     w2 = tuple(rng.randint(-2, 2) for _ in range(n))
     kind = rng.choice(["sq", "max", "l1"])
     if kind == "sq":
-        return CompositeObjective.sum_of_squares((w1, w2))
+        return sum_of_squares((w1, w2))
     if kind == "l1":
-        return CompositeObjective.l1_norm((w1, w2))
-    return CompositeObjective.max_of_linear(
+        return l1_norm((w1, w2))
+    return max_of_linear(
         (w1, w2), (((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)))
 
 
@@ -406,7 +408,7 @@ def test_maximize_tolerates_superfluous_directions():
             continue
         extra = [(1, 1, 1), (2, 1, 0)]
         E = EdgeDirectionSet.from_vectors(list(G.elements) + extra)
-        obj = CompositeObjective.sum_of_squares(
+        obj = sum_of_squares(
             ((1, -1, 0), (0, 1, -1)))
         x = maximize_composite(A, b, u, obj, E)
         assert obj.value(obj.project(x)) == brute_best(A, b, u, obj)
@@ -414,11 +416,11 @@ def test_maximize_tolerates_superfluous_directions():
 
 def test_maximize_with_table_objective():
     A, b, u = ((1, 1),), (3,), (3, 3)
-    obj0 = CompositeObjective.sum_of_squares(((1, -1), (0, 1)))
+    obj0 = sum_of_squares(((1, -1), (0, 1)))
     images = {obj0.project(x)
               for x in enumerate_fiber(A, b, (0, 0), u)}
     table = {y: y[0] * y[0] + y[1] * y[1] for y in images}
-    obj = CompositeObjective.from_table(((1, -1), (0, 1)), table)
+    obj = from_table(((1, -1), (0, 1)), table)
     E = EdgeDirectionSet.from_graver(graver_basis(A))
     x = maximize_composite(A, b, u, obj, E)
     assert obj.value(obj.project(x)) == max(table.values())
@@ -432,7 +434,7 @@ def test_collected_images_cover_every_vertex():
         G = graver_basis(A)
         if not G.elements:
             continue
-        obj = CompositeObjective.sum_of_squares(
+        obj = sum_of_squares(
             (tuple(rng.randint(-2, 2) for _ in range(3)),
              tuple(rng.randint(-2, 2) for _ in range(3))))
         E = EdgeDirectionSet.from_graver(G)
@@ -482,7 +484,7 @@ def test_oracle_call_budget():
 
 def test_maximize_is_deterministic():
     A, b, u = ((1, 2, 1),), (5,), (5, 5, 5)
-    obj = CompositeObjective.sum_of_squares(((1, 0, -1), (0, 1, 0)))
+    obj = sum_of_squares(((1, 0, -1), (0, 1, 0)))
     E = EdgeDirectionSet.from_graver(graver_basis(A))
     runs = {maximize_composite(A, b, u, obj, E) for _ in range(3)}
     assert len(runs) == 1
