@@ -4,8 +4,8 @@ reduction, and an exact fraction-free simplex solver.
 Everything downstream builds on this module.  All numbers are ints or
 `fractions.Fraction`; nothing here ever touches floating point, so results
 are reproducible bit for bit.  One fraction-free elimination (`eliminate`)
-gives rank, rational solves, determinants, scaled inverses and null
-vectors, and it shares its integer pivot with the simplex.
+gives rank, determinants, scaled inverses, null vectors and the vertex
+solves of `polyhedra`, and it shares its integer pivot with the simplex.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def integer_vector(v) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# one fraction-free elimination: rank, solves, determinants, inverses
+# one fraction-free elimination: rank, determinants, inverses, kernels
 
 def eliminate(M) -> tuple:
     """Fraction-free Gauss-Jordan elimination of a matrix of ints and
@@ -190,21 +190,6 @@ def scaled_inverse(B) -> tuple:
 def rational_rank(M) -> int:
     """Rank over the rationals."""
     return len(eliminate(M)[2])
-
-
-def solve_rational(M, b) -> Optional[tuple]:
-    """Solve a square system M x = b exactly; None when M is singular.
-
-    ValueError when M is not square or b does not have one entry per row.
-    """
-    n = len(M)
-    if len(b) != n or any(len(row) != n for row in M):
-        raise ValueError(f"solve_rational needs a square M and one b entry "
-                         f"per row, got {n} rows and {len(b)} entries")
-    rows, D, pivots = eliminate([tuple(row) + (bb,) for row, bb in zip(M, b)])
-    if pivots != list(range(n)):
-        return None
-    return tuple(Fraction(row[n], abs(D)) for row in rows)
 
 
 def null_vector(M) -> Optional[tuple]:

@@ -261,14 +261,18 @@ class SeparableConvexFn:
 
     def validate_convex(self, l: Sequence[int], u: Sequence[int],
                         samples: int = 64) -> None:
-        """Check f_i(m-1) + f_i(m+1) >= 2 f_i(m) on sampled integer m."""
+        """Check f_i(m-1) + f_i(m+1) >= 2 f_i(m) on sampled integer m.
+
+        Convexity on [l_i, u_i] needs only the interior points
+        l_i < m < u_i, so f_i is never evaluated outside the box.
+        """
         for i in range(self.dimension):
             lo, hi = int(l[i]), int(u[i])
-            if hi - lo <= samples:
-                points = range(lo, hi + 1)
+            step = max(1, (hi - lo) // samples)
+            if step == 1:
+                points = range(lo + 1, hi)
             else:
-                step = (hi - lo) // samples
-                points = list(range(lo, hi + 1, step)) + [hi]
+                points = [lo + 1, *range(lo + step, hi, step), hi - 1]
             for m in points:
                 if self._term(i, m - 1) + self._term(i, m + 1) \
                         < 2 * self._term(i, m):

@@ -1,6 +1,15 @@
 """Rational polyhedra in inequality form: vertices, supporting cones, and
 deterministic triangulation of pointed cones.
 
+Each row a x <= beta is scaled to integers once, and one integer vertex
+enumeration per polyhedron (one fraction-free elimination of [M | beta]
+per n-subset of rows, tested as a X <= beta L for x = X / L) is kept on
+the immutable Polyhedron.  Emptiness, boundedness, the integer bounding
+box and the vertices all read that one enumeration, so the preflight of
+count and optimize makes no LP call: a nonempty P whose rows have rank n
+has a vertex, it is bounded exactly when {d : A d <= 0} has no extreme
+ray, and its box is the floor and ceiling of the vertex coordinates.
+
 Triangulations are produced half-open: each simplicial piece marks the
 facets that are excluded, chosen by a fixed reference direction, so the
 pieces partition the cone's points exactly (no shared boundaries and no
@@ -16,20 +25,23 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .core import (
     LPProblem,
+    clear_denominators,
     det,
     dot,
     eliminate,
     integer_vector,
+    kernel_basis,
     null_vector,
     primitive,
     rational_rank,
     scaled_inverse,
     solve_lp,
-    solve_rational,
     transpose,
     vneg,
 )
@@ -45,7 +57,11 @@ class UnboundedError(ValueError):
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """{x : A x <= b} with rational data."""
+    """{x : A x <= b} with rational data.
+
+    The integer rows, the vertex enumeration and the recession test are
+    computed on first use and kept on the instance, which never changes.
+    """
     A: tuple
     b: tuple
 
@@ -68,14 +84,68 @@ class Polyhedron:
         raise ValueError("ambient dimension unknown for empty system")
 
     def contains(self, x) -> bool:
-        return all(dot(row, x) <= rhs for row, rhs in zip(self.A, self.b))
+        X, L = self._common_denominator(x)
+        return all(sum(map(mul, row, X)) <= row[-1] * L for row in self._rows)
 
     def tight_rows_at(self, x) -> frozenset:
-        return frozenset(i for i, (row, rhs) in enumerate(zip(self.A, self.b))
-                         if dot(row, x) == rhs)
+        X, L = self._common_denominator(x)
+        return frozenset(i for i, row in enumerate(self._rows)
+                         if sum(map(mul, row, X)) == row[-1] * L)
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         return Polyhedron(self.A + other.A, self.b + other.b)
+
+    def _common_denominator(self, x) -> tuple:
+        """(X, L) with integers X, L > 0 and x = X / L."""
+        if len(x) != self.dim:
+            raise ValueError("dimension mismatch")
+        L = math.lcm(*(v.denominator for v in x))
+        return tuple(v.numerator * (L // v.denominator) for v in x), L
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """Row i as the integer tuple (a..., beta): a x <= beta scaled by
+        the positive lcm of its denominators."""
+        return tuple(clear_denominators(row + (rhs,))
+                     for row, rhs in zip(self.A, self.b))
+
+    @cached_property
+    def _normals(self) -> tuple:
+        """The integer rows without their right-hand sides."""
+        n = self.dim
+        return tuple(row[:n] for row in self._rows)
+
+    @cached_property
+    def _vertices(self) -> Optional[tuple]:
+        """Every vertex, sorted by point, when A has rank n; None when it
+        has not (then P is empty or contains a line)."""
+        n = self.dim
+        if rational_rank(self._normals) < n:
+            return None
+        return tuple(sorted(
+            (Vertex(tuple(Fraction(x, L) for x in X), tight)
+             for X, L, tight in _basic_points(self._rows, n, ())),
+            key=lambda v: v.point))
+
+    @cached_property
+    def _feasible_point(self) -> Optional[tuple]:
+        """A vertex of P; when A has rank below n, a vertex of
+        P ∩ {K x = 0} with the rows of K spanning ker A, which is nonempty
+        whenever P is, because P = P + ker A.  None for empty P."""
+        if self._vertices is not None:
+            return self._vertices[0].point if self._vertices else None
+        K = kernel_basis(self._normals)
+        first = next(_basic_points(self._rows, self.dim, K), None)
+        if first is None:
+            return None
+        X, L, _ = first
+        return tuple(Fraction(x, L) for x in X)
+
+    @cached_property
+    def _recession_ray(self) -> Optional[tuple]:
+        """An extreme ray of {d : A d <= 0}, or None when that cone is
+        {0}; A must have rank n."""
+        return next(_extreme_rays(self._normals, self.dim), None)
 
 
 def box_polyhedron(lo: Sequence, hi: Sequence) -> Polyhedron:
@@ -140,9 +210,9 @@ class SimplicialCone:
 # feasibility, boundedness, boxes
 
 def find_feasible_point(P: Polyhedron) -> Optional[tuple]:
-    n = P.dim
-    r = solve_lp(LPProblem(c=(0,) * n, A=P.A, b=P.b, senses=("<=",) * len(P.A)))
-    return r.x if r.status == "optimal" else None
+    """A vertex of P, or of P ∩ {K x = 0} when A has rank below n; None
+    for empty P."""
+    return P._feasible_point
 
 
 def is_empty(P: Polyhedron) -> bool:
@@ -161,24 +231,18 @@ def is_bounded(P: Polyhedron) -> bool:
 def bounding_box(P: Polyhedron) -> Optional[tuple]:
     """Smallest integer box containing P, as (lo, hi) int tuples.
 
-    None for empty P; UnboundedError for unbounded P.
+    None for empty P; UnboundedError for unbounded P.  A nonempty P whose
+    rows have rank below n contains a line; otherwise P is bounded exactly
+    when {d : A d <= 0} has no extreme ray, and then the box is the
+    ceiling and floor of the vertex coordinates.
     """
-    n = P.dim
-    senses = ("<=",) * len(P.A)
     if is_empty(P):
         return None
-    lo = []
-    hi = []
-    for i in range(n):
-        c = tuple(1 if j == i else 0 for j in range(n))
-        rmax = solve_lp(LPProblem(c=c, A=P.A, b=P.b, senses=senses))
-        rmin = solve_lp(LPProblem(c=c, A=P.A, b=P.b, senses=senses,
-                                  maximize=False))
-        if rmax.status != "optimal" or rmin.status != "optimal":
-            raise UnboundedError("polyhedron is unbounded")
-        hi.append(math.floor(rmax.value))
-        lo.append(math.ceil(rmin.value))
-    return tuple(lo), tuple(hi)
+    if P._vertices is None or P._recession_ray is not None:
+        raise UnboundedError("polyhedron is unbounded")
+    points = [v.point for v in P._vertices]
+    return (tuple(math.ceil(min(c)) for c in zip(*points)),
+            tuple(math.floor(max(c)) for c in zip(*points)))
 
 
 def implicit_equality_rows(P: Polyhedron) -> tuple:
@@ -194,27 +258,74 @@ def implicit_equality_rows(P: Polyhedron) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# vertices
+# vertices and extreme rays
+
+def _basic_points(rows, n, kernel):
+    """Feasible basic points of {x : a x <= beta for each row (a, beta)}
+    on the subspace {K x = 0}, K the rows of `kernel`, each once, in the
+    order of the first row subset that reaches it.
+
+    A basic point has n linearly independent tight constraints: every
+    row of K and n - |K| rows.  One fraction-free elimination of
+    [M | beta] per subset gives its |D| and numerators; the point is
+    x = X / L in lowest terms, and a row holds when a X <= beta L, so no
+    Fraction is built here.  Yields (X, L, tight rows).
+    """
+    fixed = [tuple(k) + (0,) for k in kernel]
+    seen = set()
+    for subset in itertools.combinations(rows, n - len(fixed)):
+        red, D, pivots = eliminate(list(subset) + fixed)
+        if pivots != list(range(n)):
+            continue
+        L = abs(D)
+        X = [row[n] for row in red]
+        g = math.gcd(L, *X)
+        X, L = tuple(x // g for x in X), L // g
+        if (X, L) in seen:
+            continue
+        seen.add((X, L))
+        tight = []
+        for i, row in enumerate(rows):
+            lhs, rhs = sum(map(mul, row, X)), row[-1] * L
+            if lhs > rhs:
+                break
+            if lhs == rhs:
+                tight.append(i)
+        else:
+            yield X, L, frozenset(tight)
+
+
+def _extreme_rays(rows, n):
+    """Extreme rays of the pointed cone {d : a d <= 0 for a in rows}, rows
+    of rank n, as primitive integer vectors, some more than once.
+
+    An extreme ray lies on n - 1 linearly independent rows, so it spans
+    the kernel of some n - 1 of them, up to sign.
+    """
+    if n == 1:
+        candidates = [(1,), (-1,)]
+    else:
+        candidates = (null_vector(sub)
+                      for sub in itertools.combinations(rows, n - 1))
+    for d in candidates:
+        if d is None:
+            continue
+        if all(dot(row, d) <= 0 for row in rows):
+            yield d
+        elif all(dot(row, d) >= 0 for row in rows):
+            yield vneg(d)
+
 
 def enumerate_vertices(P: Polyhedron) -> tuple:
     """All vertices of a pointed polyhedron, sorted by point.
 
-    Basis enumeration over tight-row subsets; exact and deterministic.
-    Raises NotPointedError when {x : A x <= b} contains a line.
+    Basis enumeration over n-subsets of rows, in integers; exact and
+    deterministic.  Raises NotPointedError when {x : A x <= b} contains
+    a line.
     """
-    n = P.dim
-    if rational_rank(P.A) < n:
+    if P._vertices is None:
         raise NotPointedError("constraint matrix has rank below dimension")
-    seen = {}
-    for subset in itertools.combinations(range(len(P.A)), n):
-        M = [P.A[i] for i in subset]
-        rhs = [P.b[i] for i in subset]
-        x = solve_rational(M, rhs)
-        if x is None or not P.contains(x):
-            continue
-        if x not in seen:
-            seen[x] = Vertex(point=x, tight_rows=P.tight_rows_at(x))
-    return tuple(sorted(seen.values(), key=lambda v: v.point))
+    return P._vertices
 
 
 def supporting_cone(P: Polyhedron, v) -> Cone:
@@ -227,25 +338,10 @@ def supporting_cone(P: Polyhedron, v) -> Cone:
             raise ValueError("point not in polyhedron")
         tight = P.tight_rows_at(point)
     n = P.dim
-    T = sorted(tight)
-    AT = [P.A[i] for i in T]
+    AT = [P._normals[i] for i in sorted(tight)]
     if rational_rank(AT) < n:
         raise ValueError("point is not a vertex")
-    rays = set()
-    if n == 1:
-        candidates = [(1,), (-1,)]
-    else:
-        candidates = []
-        for subset in itertools.combinations(range(len(AT)), n - 1):
-            null = null_vector([AT[i] for i in subset])
-            if null is not None:
-                candidates.append(null)
-    for d in candidates:
-        if all(dot(row, d) <= 0 for row in AT):
-            rays.add(d)
-        elif all(dot(row, vneg(d)) <= 0 for row in AT):
-            rays.add(vneg(d))
-    return Cone(apex=point, rays=tuple(sorted(rays)))
+    return Cone(apex=point, rays=tuple(sorted(set(_extreme_rays(AT, n)))))
 
 
 # ---------------------------------------------------------------------------

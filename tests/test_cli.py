@@ -6,7 +6,9 @@ so accidental set-iteration order cannot hide.
 """
 
 import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,9 +18,12 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import latticeopt.cli as cli
+import polyhedra_reference as ref
+from latticeopt import core, fptas, genfunc, polyhedra
 from latticeopt.cli import CLIError, main, parse_problem
 from latticeopt.core import parse_rat
 from latticeopt.fptas import SparsePolynomial
+from latticeopt.polyhedra import Polyhedron, UnboundedError
 from subprocess_env import cli_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -322,6 +327,99 @@ def test_optimize_no_lattice_points_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "optimize", str(gap))
     assert code == 2
     assert "lattice points" in err
+
+
+# ---------------------------------------------------------------------------
+# count and optimize make no LP
+
+# (POLYTOPE rows, count's exit code and stdout, optimize's exit code)
+PREFLIGHT_EDGES = [
+    ("1 0 <= 1\n-1 0 <= 0\n", 3, "", 3),                   # a strip
+    ("0 0 <= -1\n", 2, "", 2),                              # 0 <= -1
+    ("2 2 <= 1\n-2 -2 <= -1\n", 3, "", 3),                  # a line
+    ("1 1 <= 1/2\n-1 -1 <= -1/2\n1 0 <= 3\n-1 0 <= 0\n0 1 <= 3\n0 -1 <= 0\n",
+     0, "count: 0\ngf_terms: 0\ndimension: 2\n", 2),        # x + y = 1/2
+]
+
+
+def _seeded_polytopes():
+    """(rows, P) for seeded boxes cut by a row, empty boxes and pointed
+    unbounded polyhedra in dimensions 1-3."""
+    rng = random.Random(15)
+    for kind in ("cut", "empty", "unbounded") * 6:
+        n = rng.randint(1, 3)
+        A = [tuple(-int(j == i) for j in range(n)) for i in range(n)]
+        b = [0] * n
+        if kind != "unbounded":
+            for i in range(n):
+                A.append(tuple(int(j == i) for j in range(n)))
+                b.append(rng.randint(1, 3))
+        a = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(n))
+        if kind == "unbounded":
+            a = tuple(-abs(v) for v in a)
+        A.append(a)
+        b.append(Fraction(rng.randint(-3, 2), rng.randint(1, 2)))
+        if kind == "empty":
+            A.append(tuple(-v for v in a))
+            b.append(-b[-1] - Fraction(1, rng.randint(1, 3)))
+        rows = "".join(" ".join(map(str, row)) + f" <= {beta}\n"
+                       for row, beta in zip(A, b))
+        yield rows, Polyhedron(tuple(A), tuple(b))
+
+
+def test_count_and_optimize_solve_no_lp(monkeypatch, capsys, tmp_path):
+    def no_lp(problem):
+        raise AssertionError("solve_lp called")
+
+    for module in (core, polyhedra, genfunc, fptas, cli):
+        if hasattr(module, "solve_lp"):
+            monkeypatch.setattr(module, "solve_lp", no_lp)
+
+    for name in ("unit_cube.txt", "simplex.txt"):
+        code, out, _ = run_cli(capsys, "count", str(FIXTURES / name),
+                               "--brute-force")
+        assert code == 0 and report_of(out)["brute_force"] == "MATCH"
+    for name, eps in (("interval_opt.txt", "1/2"), ("singleton_opt.txt", "1"),
+                      ("square_opt.txt", "1/4")):
+        code, out, _ = run_cli(capsys, "optimize", str(FIXTURES / name),
+                               "--epsilon", eps, "--brute-force")
+        assert code == 0 and report_of(out)["brute_force"] == "MATCH"
+
+    path = tmp_path / "p.txt"
+    for rows, count_code, count_out, optimize_code in PREFLIGHT_EDGES:
+        path.write_text("POLYTOPE\n" + rows)
+        assert run_cli(capsys, "count", str(path))[:2] == \
+            (count_code, count_out)
+        path.write_text("POLYTOPE\n" + rows + "\nPOLY\n1 1 0\n")
+        assert run_cli(capsys, "optimize", str(path))[0] == optimize_code
+
+    # the expected exit codes and counts come from the LP preflight, which
+    # bound the unpatched solve_lp when it was imported
+    codes = set()
+    for rows, P in _seeded_polytopes():
+        try:
+            box = ref.bounding_box(P)
+            want = 2 if box is None else 0
+        except UnboundedError:
+            box, want = None, 3
+        codes.add(want)
+        path.write_text("POLYTOPE\n" + rows)
+        code, out, _ = run_cli(capsys, "count", str(path))
+        assert code == want, rows
+        if want == 0:
+            ranges = (range(lo, hi + 1) for lo, hi in zip(*box))
+            count = sum(1 for x in itertools.product(*ranges)
+                        if ref.contains(P, x))
+            assert report_of(out)["count"] == str(count), rows
+            if count == 0:
+                want = 2             # no lattice point to maximize over
+        poly = " ".join(["1"] * (P.dim + 1))
+        path.write_text("POLYTOPE\n" + rows + f"\nPOLY\n{poly}\n")
+        code, out, _ = run_cli(capsys, "optimize", str(path), "--brute-force")
+        assert code == want, rows
+        if code == 0:
+            assert report_of(out)["brute_force"] == "MATCH", rows
+    assert codes == {0, 2, 3}
 
 
 # ---------------------------------------------------------------------------

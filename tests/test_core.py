@@ -37,7 +37,6 @@ from latticeopt.core import (
     rational_rank,
     solve_integer,
     solve_lp,
-    solve_rational,
     transpose,
 )
 
@@ -138,15 +137,6 @@ def test_det_multiplicative(n, data):
     assert det(mat_mul(A, B)) == det(A) * det(B)
 
 
-def test_solve_rational_rejects_non_square_matrix():
-    # the third column used to come back as the answer
-    with pytest.raises(ValueError):
-        solve_rational(((1, 0, 5), (0, 1, 7)), (1, 1))
-
-
-def test_solve_rational_rejects_short_right_hand_side():
-    with pytest.raises(ValueError):
-        solve_rational(((1, 0), (0, 1)), (1,))
 
 
 def test_integer_routines_reject_non_integer_entries():

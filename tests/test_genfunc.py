@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from latticeopt.core import dot, solve_rational, transpose
+from elimination_reference import solve_rational
+from latticeopt.core import dot, transpose
 from latticeopt.fptas import SparsePolynomial
 from latticeopt.genfunc import (
     GeneratingFunction,

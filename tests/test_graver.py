@@ -226,6 +226,31 @@ def test_convexity_validation():
         bad.validate_convex((-5,), (5,))
 
 
+def test_convexity_validation_stays_inside_the_box():
+    # a term known only on 0..4 is convex there; the check must neither
+    # read it at -1 or 5 nor take a list's tab[-1] for f(-1)
+    tab = [F(5), F(2), F(0), F(0), F(1)]
+    calls = []
+
+    def table(m):
+        calls.append(m)
+        if not 0 <= m < len(tab):
+            raise IndexError(m)
+        return tab[m]
+
+    SeparableConvexFn((table,)).validate_convex((0,), (4,))
+    assert sorted(set(calls)) == [0, 1, 2, 3, 4]
+    SeparableConvexFn((tab.__getitem__,)).validate_convex((0,), (4,))
+    bad = [F(0), F(2), F(3), F(5), F(6)]
+    with pytest.raises(ValueError, match="at 1"):
+        SeparableConvexFn((bad.__getitem__,)).validate_convex((0,), (4,))
+    # a long box samples interior points only
+    seen = []
+    SeparableConvexFn((lambda m: seen.append(m) or F(m * m),)
+                      ).validate_convex((0,), (1000,))
+    assert min(seen) == 0 and max(seen) == 1000
+
+
 def test_superadditivity_in_common_orthant():
     rng = random.Random(5)
     fs = [weighted_square((1, -2, 0), (1, 3, F(1, 2))),
@@ -275,8 +300,8 @@ def test_each_term_is_evaluated_once_per_integer():
     assert res.steps >= 1
     assert check_optimality(res.x, f, A, spec.b, l, u, G) == (True, None)
     assert f.value(res.x) == brute_minimum(A, spec.b, l, u, f)
-    # validate_convex alone asks for every m in [l_i - 1, u_i + 1]
-    assert set(calls) == {(i, m) for i in range(6) for m in range(-1, 8)}
+    # validate_convex alone asks for every m in [l_i, u_i], none outside
+    assert set(calls) == {(i, m) for i in range(6) for m in range(0, 7)}
     assert max(calls.values()) == 1
 
 

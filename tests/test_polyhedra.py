@@ -5,20 +5,23 @@ a supporting cone, by the rows tight at its vertex: summed half-open piece
 multiplicities must reproduce it exactly, point by point.
 """
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import polyhedra_reference
+from elimination_reference import solve_rational
 from latticeopt import polyhedra
 from latticeopt.core import (
     LPProblem,
     dot,
     rational_rank,
     solve_lp,
-    solve_rational,
     transpose,
+    vneg,
     vsub,
 )
 from latticeopt.polyhedra import (
@@ -406,3 +409,110 @@ def test_supporting_cones_meet_triangulate_precondition(monkeypatch):
                 assert mult == (1 if inside else 0), (c, x)
     assert cones >= 700
     assert degenerate >= 100
+
+
+# ---------------------------------------------------------------------------
+# the integer enumeration against the Fraction-and-LP preflight it replaced
+
+def differential_polyhedra():
+    """Seeded polyhedra in dimensions 1-4: (kind, P)."""
+    rng = random.Random(2009)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        lo = tuple(rng.randint(-3, 0) for _ in range(n))
+        hi = tuple(rng.randint(1, 3) for _ in range(n))
+        B = box_polyhedron(lo, hi)
+        A, b = list(B.A), list(B.b)
+        for _ in range(rng.randint(0, 3)):
+            a = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                      for _ in range(n))
+            if any(a):
+                A.append(a)
+                b.append(Fraction(rng.randint(-4, 8), rng.randint(1, 3)))
+        yield "random", Polyhedron(tuple(A), tuple(b))
+        # the same box cut by an equality: lower-dimensional, through a
+        # lattice point or not
+        a = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(a):
+            p = tuple(Fraction(rng.randint(2 * l, 2 * h), rng.choice((1, 2)))
+                      for l, h in zip(lo, hi))
+            beta = dot(a, p)
+            yield "flat", Polyhedron(B.A + (a, vneg(a)), B.b + (beta, -beta))
+            # and by two parallel rows with a gap between them
+            gap = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            yield "empty", Polyhedron(B.A + (a, vneg(a)),
+                                      B.b + (beta, -beta - gap))
+    for _ in range(25):
+        # pointed and unbounded: the nonnegative orthant cut by rows that
+        # leave a ray open
+        n = rng.randint(1, 4)
+        ray = tuple(rng.randint(0, 2) for _ in range(n - 1)) + (1,)
+        A = [tuple(-int(j == i) for j in range(n)) for i in range(n)]
+        b = [0] * n
+        for _ in range(rng.randint(0, 3)):
+            c = tuple(rng.randint(-2, 2) for _ in range(n))
+            if any(c) and dot(c, ray) <= 0:
+                A.append(c)
+                b.append(rng.randint(-3, 4))
+        yield "unbounded", Polyhedron(tuple(A), tuple(b))
+    for _ in range(20):
+        # rank below n: rows that never mention the last coordinates
+        n = rng.randint(2, 4)
+        k = rng.randint(1, n - 1)
+        A, b = [], []
+        for _ in range(rng.randint(1, 4)):
+            A.append(tuple(rng.randint(-2, 2) for _ in range(k))
+                     + (0,) * (n - k))
+            b.append(rng.randint(-3, 3))
+        yield "rank_deficient", Polyhedron(tuple(A), tuple(b))
+    for n in (1, 2, 3):
+        yield "rank_deficient", Polyhedron(((0,) * n,), (-1,))
+        yield "rank_deficient", Polyhedron(((0,) * n,), (0,))
+    yield "rank_deficient", Polyhedron(((2, 2), (-2, -2)), (1, -1))
+    yield "rank_deficient", Polyhedron(((1, 0), (-1, 0)), (1, 0))
+    for n in (2, 3, 4):
+        rows = tuple(itertools.product((1, -1), repeat=n))
+        yield "cross", Polyhedron(rows, (1,) * len(rows))
+    for n in (3, 4):
+        for h in (1, 2, 3):
+            rows = [tuple(-1 if j == n - 1 else 0 for j in range(n))]
+            for i, s in itertools.product(range(n - 1), (1, -1)):
+                rows.append(tuple(s if j == i else 1 if j == n - 1 else 0
+                                  for j in range(n)))
+            yield "pyramid", Polyhedron(tuple(rows),
+                                        (0,) + (h,) * (len(rows) - 1))
+
+
+def test_enumeration_matches_fraction_and_lp_preflight():
+    seen = collections.Counter()
+    for kind, P in differential_polyhedra():
+        empty = polyhedra_reference.is_empty(P)
+        assert polyhedra.is_empty(P) == empty, (kind, P)
+        x = polyhedra.find_feasible_point(P)
+        assert (x is None) == empty, (kind, P)
+        assert x is None or polyhedra_reference.contains(P, x)
+        try:
+            want = polyhedra_reference.bounding_box(P)
+        except UnboundedError:
+            with pytest.raises(UnboundedError):
+                bounding_box(P)
+            want = "unbounded"
+        else:
+            assert bounding_box(P) == want, (kind, P)
+        assert is_bounded(P) == polyhedra_reference.is_bounded(P)
+        if rational_rank(P.A) < P.dim:
+            with pytest.raises(NotPointedError):
+                enumerate_vertices(P)
+        else:
+            assert enumerate_vertices(P) == \
+                polyhedra_reference.enumerate_vertices(P), (kind, P)
+        seen[kind, "empty" if empty else "bounded" if want != "unbounded"
+             else "unbounded"] += 1
+    # every kind reaches the outcomes it is built for
+    assert seen["unbounded", "unbounded"] >= 20
+    assert seen["empty", "empty"] >= 20
+    assert seen["flat", "bounded"] >= 20
+    assert seen["random", "bounded"] >= 25
+    assert seen["rank_deficient", "unbounded"] >= 10
+    assert seen["rank_deficient", "empty"] >= 10
+    assert seen["cross", "bounded"] + seen["pyramid", "bounded"] == 9
