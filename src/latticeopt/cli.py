@@ -59,8 +59,11 @@ from .core import clear_denominators, dot, format_rat, parse_rat, vneg
 from .fptas import SparsePolynomial, maximize
 from .genfunc import polyhedron_gf, specialize_at_one
 from .graver import (
+    Abs,
     NFoldSpec,
+    PiecewiseMax,
     SeparableConvexFn,
+    Square,
     enumerate_fiber,
     graver_basis,
     nfold_matrix,
@@ -130,12 +133,8 @@ class Origin:
     """Source line numbers for diagnostics.  Excluded from equality:
     two files stating the same problem parse to equal ProblemFiles."""
 
-    sections: tuple[tuple[str, int], ...] = ()
     polytope_rows: tuple[int, ...] = ()
     objective_terms: tuple[int, ...] = ()
-
-    def section(self, name: str) -> Optional[int]:
-        return dict(self.sections).get(name)
 
 
 @dataclass(frozen=True)
@@ -357,8 +356,7 @@ def parse_problem(text: str) -> ProblemFile:
     return ProblemFile(
         polytope=polytope, poly=poly, nfold=nfold, objective=objective,
         indep=indep, weights=weights, tuple_a=tuple_a,
-        origin=Origin(sections=tuple(sorted(headers.items())),
-                      polytope_rows=row_lines,
+        origin=Origin(polytope_rows=row_lines,
                       objective_terms=term_lines))
 
 
@@ -533,12 +531,13 @@ def _fiber_rows(pf: ProblemFile, P: Polyhedron):
 
 
 def _convex_term(kind: str, payload):
-    """The function of one sq, abs or pwl OBJECTIVE term."""
+    """The term of one sq, abs or pwl OBJECTIVE line, of a graver type
+    that is convex by construction."""
     if kind == "sq":
-        return lambda m: (Fraction(m) - payload) ** 2
+        return Square(payload)
     if kind == "abs":
-        return lambda m: abs(Fraction(m) - payload)
-    return lambda m: max(a * m + b for a, b in payload)
+        return Abs(payload)
+    return PiecewiseMax(payload)
 
 
 def _separable(terms, dim: int, pf: ProblemFile) -> SeparableConvexFn:

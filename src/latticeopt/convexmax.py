@@ -26,6 +26,7 @@ from typing import Callable, Optional
 from .core import (
     LPProblem,
     dot,
+    integer_vector,
     lex_canonical,
     primitive,
     solve_lp,
@@ -58,7 +59,7 @@ class CompositeObjective:
     evaluator: Optional[Callable[[IntVec], Fraction]] = None
 
     def __post_init__(self):
-        ws = tuple(tuple(int(a) for a in w) for w in self.weights)
+        ws = tuple(integer_vector(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         if len(ws) not in (1, 2):
             raise ValueError("image dimension must be 1 or 2")
@@ -136,7 +137,7 @@ class EdgeDirectionSet:
 
     @staticmethod
     def from_vectors(vectors) -> "EdgeDirectionSet":
-        canon = {lex_canonical(primitive(tuple(int(a) for a in v)))
+        canon = {lex_canonical(primitive(integer_vector(v)))
                  for v in vectors if any(v)}
         return EdgeDirectionSet(tuple(sorted(canon)))
 
@@ -211,12 +212,12 @@ def lip_oracle(A, b, u, w) -> LIPResult:
     problem unbounded, and otherwise some optimum is a componentwise-
     minimal fiber point, so searching the minimal-point box suffices.
     """
-    A = tuple(tuple(int(a) for a in row) for row in A)
-    b = tuple(int(v) for v in b)
+    A = tuple(integer_vector(row) for row in A)
+    b = integer_vector(b)
     if len(A) != len(b):
         raise ValueError("row count mismatch")
     n = len(A[0])
-    w = tuple(int(a) for a in w)
+    w = integer_vector(w)
     if len(w) != n:
         raise ValueError("objective length mismatch")
 
@@ -232,7 +233,7 @@ def lip_oracle(A, b, u, w) -> LIPResult:
             return LIPResult("infeasible")
         u = _minimal_point_box(A, b)
     else:
-        u = tuple(int(v) for v in u)
+        u = integer_vector(u)
         if len(u) != n or any(v < 0 for v in u):
             raise ValueError("bounds must be nonnegative, one per column")
     best = fiber_maximum(A, b, (0,) * n, u, w)
@@ -267,7 +268,7 @@ def candidate_directions(e_proj) -> list[IntVec]:
     line itself expose both endpoints of the (necessarily segment)
     image.  Dimension one needs no geometry: just both orientations.
     """
-    vecs = [tuple(int(a) for a in v) for v in e_proj]
+    vecs = [integer_vector(v) for v in e_proj]
     if not vecs:
         raise ValueError("no projected edge directions")
     d = len(vecs[0])

@@ -182,14 +182,6 @@ class NFoldSpec:
         object.__setattr__(self, "b", b)
 
     @property
-    def r(self) -> int:
-        return len(self.A1)
-
-    @property
-    def s(self) -> int:
-        return len(self.A2)
-
-    @property
     def t(self) -> int:
         return len(self.A1[0])
 
@@ -209,6 +201,50 @@ def nfold_matrix(spec: NFoldSpec) -> IntMatrix:
 # separable convex objectives
 
 @dataclass(frozen=True)
+class Square:
+    """m -> (m - c)^2, convex by construction."""
+    c: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", Fraction(self.c))
+
+    def __call__(self, m: int) -> Fraction:
+        return (Fraction(m) - self.c) ** 2
+
+
+@dataclass(frozen=True)
+class Abs:
+    """m -> |m - c|, convex by construction."""
+    c: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", Fraction(self.c))
+
+    def __call__(self, m: int) -> Fraction:
+        return abs(Fraction(m) - self.c)
+
+
+@dataclass(frozen=True)
+class PiecewiseMax:
+    """m -> max_j (a_j m + b_j) over (a_j, b_j) pieces; a maximum of
+    affine functions is convex by construction."""
+    pieces: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self):
+        pieces = tuple((Fraction(a), Fraction(b)) for a, b in self.pieces)
+        if not pieces:
+            raise ValueError("a piecewise maximum needs at least one piece")
+        object.__setattr__(self, "pieces", pieces)
+
+    def __call__(self, m: int) -> Fraction:
+        return max(a * m + b for a, b in self.pieces)
+
+
+# exact types only: a subclass may override __call__
+_CONVEX_BY_CONSTRUCTION = (Square, Abs, PiecewiseMax)
+
+
+@dataclass(frozen=True)
 class SeparableConvexFn:
     """Sum of per-coordinate convex functions, compared exactly.
 
@@ -218,6 +254,11 @@ class SeparableConvexFn:
     `compare` and `validate_convex` all read.  Beyond direct evaluation
     the object acts as the comparison oracle the optimality certificate
     is stated for.
+
+    The built-in terms `Square`, `Abs` and `PiecewiseMax` are convex by
+    construction and are never scanned.  Any other evaluator is checked
+    by `validate_convex` at every interior integer of its box, a cost
+    linear in the box width.
     """
     evaluators: tuple[Callable[[int], Fraction], ...]
     _tables: tuple[dict, ...] = field(init=False, repr=False,
@@ -259,21 +300,18 @@ class SeparableConvexFn:
                 diff += self._term(i, a) - self._term(i, c)
         return (diff > 0) - (diff < 0)
 
-    def validate_convex(self, l: Sequence[int], u: Sequence[int],
-                        samples: int = 64) -> None:
-        """Check f_i(m-1) + f_i(m+1) >= 2 f_i(m) on sampled integer m.
+    def validate_convex(self, l: Sequence[int], u: Sequence[int]) -> None:
+        """Check f_i(m-1) + f_i(m+1) >= 2 f_i(m) at every integer m with
+        l_i < m < u_i, which proves f_i convex on the integers of
+        [l_i, u_i]; ValueError names the first m that fails.
 
-        Convexity on [l_i, u_i] needs only the interior points
-        l_i < m < u_i, so f_i is never evaluated outside the box.
+        Terms of the built-in convex types are skipped, and f_i is never
+        evaluated outside the box.
         """
-        for i in range(self.dimension):
-            lo, hi = int(l[i]), int(u[i])
-            step = max(1, (hi - lo) // samples)
-            if step == 1:
-                points = range(lo + 1, hi)
-            else:
-                points = [lo + 1, *range(lo + step, hi, step), hi - 1]
-            for m in points:
+        for i, term in enumerate(self.evaluators):
+            if type(term) in _CONVEX_BY_CONSTRUCTION:
+                continue
+            for m in range(math.ceil(l[i]) + 1, math.floor(u[i])):
                 if self._term(i, m - 1) + self._term(i, m + 1) \
                         < 2 * self._term(i, m):
                     raise ValueError(

@@ -1,8 +1,11 @@
 """Builders of separable convex objectives for the tests.
 
 The library builds its `sq`, `abs` and `pwl` terms in one place, the
-CLI's objective parser; these four shorthands only serve tests, which
-write objectives as Python values rather than OBJECTIVE lines.
+CLI's objective parser, as `graver`'s `Square`, `Abs` and
+`PiecewiseMax`.  These four shorthands only serve tests, which write
+objectives as Python values rather than OBJECTIVE lines.  They stay
+plain lambdas: they are the oracle for the term classes' values, and
+`validate_convex` scans them like any caller's evaluator.
 """
 
 from fractions import Fraction

@@ -447,6 +447,53 @@ def test_nfold_quadratic_certified(capsys):
     assert fields["brute_force"] == "MATCH"
 
 
+def _seeded_nfold_files(tmp_path, count):
+    """Feasible two-column n-fold files with random sq, abs and pwl terms
+    on the box [0, 3]."""
+    rng = random.Random(22)
+    for k in range(count):
+        n = rng.choice((2, 3))
+        a1 = [rng.randint(1, 4) for _ in range(2)]
+        a2 = [rng.randint(1, 4) for _ in range(2)]
+        x = [rng.randint(0, 3) for _ in range(2 * n)]
+        b = [sum(a1[j % 2] * v for j, v in enumerate(x))]
+        b += [a2[0] * x[2 * i] + a2[1] * x[2 * i + 1] for i in range(n)]
+        terms = [rng.choice((f"sq {rng.randint(-3, 9)}/2",
+                             f"abs {rng.randint(-3, 9)}/2",
+                             f"pwl 1 -2 -1 {rng.randint(0, 3)} 0 0"))
+                 for _ in x]
+        rows = [" ".join("1" if j == i else "0" for j in range(2 * n))
+                + " <= 3" for i in range(2 * n)]
+        rows += [" ".join("-1" if j == i else "0" for j in range(2 * n))
+                 + " <= 0" for i in range(2 * n)]
+        path = tmp_path / f"nfold_{k}.txt"
+        path.write_text("\n".join(
+            ["NFOLD", "A1", f"{a1[0]} {a1[1]}", "A2", f"{a2[0]} {a2[1]}",
+             f"n {n}", "b " + " ".join(map(str, b)), "OBJECTIVE", *terms,
+             "POLYTOPE", *rows]) + "\n")
+        yield path
+
+
+def test_nfold_scans_no_objective_term(capsys, monkeypatch, tmp_path):
+    # sq, abs and pwl terms are convex by construction, so the convexity
+    # check of an nfold solve evaluates none of them
+    scanned = []
+    check = cli.SeparableConvexFn.validate_convex
+
+    def counted(f, l, u):
+        before = sum(map(len, f._tables))
+        check(f, l, u)
+        scanned.append(sum(map(len, f._tables)) - before)
+
+    monkeypatch.setattr(cli.SeparableConvexFn, "validate_convex", counted)
+    files = [FIXTURES / "nfold_quad.txt", FIXTURES / "nfold_small.txt",
+             *_seeded_nfold_files(tmp_path, 12)]
+    for path in files:
+        code, out, _ = run_cli(capsys, "nfold", str(path), "--brute-force")
+        assert code == 0 and report_of(out)["brute_force"] == "MATCH", path
+    assert scanned == [0] * len(files)
+
+
 def test_nfold_infeasible_exits_2(capsys, tmp_path):
     text = (FIXTURES / "nfold_small.txt").read_text()
     bad = tmp_path / "bad.txt"

@@ -266,6 +266,42 @@ def test_lip_validation():
         lip_oracle(((1, 1),), (3,), (2, 2), (1, 0, 0))
 
 
+# each public entry of the module, fed one entry `v`; its integer answer
+# when v is 2
+INTEGER_ENTRIES = {
+    "weights": (lambda v: CompositeObjective(((v, 1),), evaluator=sum)
+                .weights, ((2, 1),)),
+    "lip A": (lambda v: lip_oracle(((v, 1),), (4,), (2, 2), (1, 0)),
+              LIPResult("optimal", (2, 0), 2)),
+    "lip b": (lambda v: lip_oracle(((1, 1),), (v,), (2, 2), (1, 0)),
+              LIPResult("optimal", (2, 0), 2)),
+    "lip u": (lambda v: lip_oracle(((1, 1),), (3,), (v, 2), (1, 0)),
+              LIPResult("optimal", (2, 1), 2)),
+    "lip w": (lambda v: lip_oracle(((1, 1),), (3,), (2, 2), (v, 1)),
+              LIPResult("optimal", (2, 1), 5)),
+    "from_vectors": (lambda v: EdgeDirectionSet.from_vectors(((v, 1),))
+                     .directions, ((2, 1),)),
+    "candidate_directions": (lambda v: candidate_directions([(v, 1)]),
+                             [(2, 1), (-2, -1)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+def test_integer_input_is_checked_not_truncated(entry):
+    call, answer = INTEGER_ENTRIES[entry]
+    for v in (F(1, 2), 1.5, F(3, 2)):
+        with pytest.raises(ValueError, match="non-integer"):
+            call(v)
+    for v in (2, F(2), 2.0):
+        assert call(v) == answer
+
+
+def test_lip_oracle_rejects_a_fractional_row():
+    # truncating 3/2 to 1 returned x = (2, 1), where 3/2*2 + 1 = 4 != 3
+    with pytest.raises(ValueError, match="non-integer"):
+        lip_oracle(((F(3, 2), 1),), (3,), (2, 2), (1, 0))
+
+
 # ---------------------------------------------------------------------------
 # candidate directions
 

@@ -10,10 +10,13 @@ import pytest
 
 from latticeopt.core import LPProblem, mat_vec, solve_lp, vadd, vneg, vsub
 from latticeopt.graver import (
+    Abs,
     AugmentResult,
     GraverBasis,
     NFoldSpec,
+    PiecewiseMax,
     SeparableConvexFn,
+    Square,
     check_optimality,
     enumerate_fiber,
     graver_basis,
@@ -244,11 +247,11 @@ def test_convexity_validation_stays_inside_the_box():
     bad = [F(0), F(2), F(3), F(5), F(6)]
     with pytest.raises(ValueError, match="at 1"):
         SeparableConvexFn((bad.__getitem__,)).validate_convex((0,), (4,))
-    # a long box samples interior points only
+    # a long box is scanned at every point, none outside
     seen = []
     SeparableConvexFn((lambda m: seen.append(m) or F(m * m),)
                       ).validate_convex((0,), (1000,))
-    assert min(seen) == 0 and max(seen) == 1000
+    assert sorted(seen) == list(range(0, 1001))
 
 
 def test_superadditivity_in_common_orthant():
@@ -340,7 +343,6 @@ def test_dimension_mismatch_raises():
 
 
 def test_convexity_error_names_first_failing_point():
-    # the concave spot is hit on a dense scan and on a sampled one
     bump = SeparableConvexFn((lambda m: F(m * m),
                               lambda m: F(-abs(m - 2))))
     with pytest.raises(ValueError) as err:
@@ -352,6 +354,49 @@ def test_convexity_error_names_first_failing_point():
     with pytest.raises(ValueError) as err:
         spike.validate_convex((0, 0), (1000, 1000))
     assert str(err.value) == "coordinate 1 fails convexity at 345"
+
+
+def test_convexity_scan_misses_no_interior_point():
+    # concave at 346 alone, off any stride of [0, 1000]
+    notch = SeparableConvexFn((lambda m: F(1000 if m == 346 else abs(m)),))
+    with pytest.raises(ValueError) as err:
+        notch.validate_convex((0,), (1000,))
+    assert str(err.value) == "coordinate 0 fails convexity at 346"
+    # only the integers of a fractional box count
+    notch.validate_convex((F(693, 2),), (1000,))
+
+
+def test_builtin_terms_match_their_formulas():
+    centers = [F(k, 2) for k in range(-9, 10)]
+    pieces = (((1, 0), (-1, 0)), ((F(1, 2), 3), (-2, F(-1, 2)), (0, 1)),
+              ((F(-3, 2), F(5, 2)),))
+    pairs = []
+    for c in centers:
+        pairs.append((Square(c), weighted_square((c,)).evaluators[0]))
+        pairs.append((Abs(c), absolute_deviation((c,)).evaluators[0]))
+    for p in pieces:
+        pairs.append((PiecewiseMax(p), piecewise_max((p,)).evaluators[0]))
+    for term, oracle in pairs:
+        for m in range(-20, 21):
+            v = term(m)
+            assert type(v) is Fraction and v == oracle(m), (term, m)
+    with pytest.raises(ValueError):
+        PiecewiseMax(())
+
+
+def test_builtin_terms_are_not_scanned():
+    f = SeparableConvexFn((Square(F(1, 2)), Abs(-3),
+                           PiecewiseMax(((2, -1), (-1, 4)))))
+    f.validate_convex((-10 ** 9,) * 3, (10 ** 9,) * 3)
+    assert f._tables == ({}, {}, {})
+
+    # the skip is for the exact types: a subclass may change __call__
+    class Dented(Square):
+        def __call__(self, m):
+            return -super().__call__(m)
+
+    with pytest.raises(ValueError, match="coordinate 0 fails convexity"):
+        SeparableConvexFn((Dented(0),)).validate_convex((-5,), (5,))
 
 
 # ---------------------------------------------------------------------------
