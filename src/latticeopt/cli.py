@@ -45,7 +45,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -55,7 +54,8 @@ from .convexmax import (
     lip_oracle,
     maximize_composite,
 )
-from .core import clear_denominators, dot, format_rat, parse_rat, vneg
+from .core import (clear_denominators, dot, format_rat, parse_rat, record,
+                   uncompared, vneg)
 from .fptas import SparsePolynomial, maximize
 from .genfunc import polyhedron_gf, specialize_at_one
 from .graver import (
@@ -128,7 +128,7 @@ def _int_tok(tok: str, lineno: int) -> int:
 # ---------------------------------------------------------------------------
 # problem files
 
-@dataclass(frozen=True)
+@record
 class Origin:
     """Source line numbers for diagnostics.  Excluded from equality:
     two files stating the same problem parse to equal ProblemFiles."""
@@ -137,7 +137,7 @@ class Origin:
     objective_terms: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ProblemFile:
     polytope: Optional[Polyhedron] = None
     poly: Optional[SparsePolynomial] = None
@@ -146,7 +146,7 @@ class ProblemFile:
     indep: Optional[tuple] = None
     weights: Optional[tuple] = None
     tuple_a: Optional[tuple] = None
-    origin: Origin = field(default_factory=Origin, compare=False, repr=False)
+    origin: Origin = uncompared(Origin())
 
 
 def _build_polytope(entries, header, memo):

@@ -18,7 +18,6 @@ this module does not attempt; use brute-force enumeration there.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Optional
@@ -29,6 +28,7 @@ from .core import (
     integer_vector,
     lex_canonical,
     primitive,
+    record,
     solve_lp,
     vadd,
     vneg,
@@ -45,7 +45,7 @@ def _cmp(a, b):
     return (a > b) - (a < b)
 
 
-@dataclass(frozen=True)
+@record
 class CompositeObjective:
     """c(w_1.x, ..., w_d.x) with c convex on Z^d.
 
@@ -112,7 +112,7 @@ class CompositeObjective:
 # ---------------------------------------------------------------------------
 # edge-direction sets
 
-@dataclass(frozen=True)
+@record
 class EdgeDirectionSet:
     """Primitive, sign-canonical, duplicate-free nonzero directions."""
 
@@ -149,7 +149,7 @@ class EdgeDirectionSet:
 # ---------------------------------------------------------------------------
 # linear integer programming oracle
 
-@dataclass(frozen=True)
+@record
 class LIPResult:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     x: Optional[IntVec] = None

@@ -6,12 +6,13 @@ Everything downstream builds on this module.  All numbers are ints or
 are reproducible bit for bit.  One fraction-free elimination (`eliminate`)
 gives rank, determinants, scaled inverses, null vectors and the vertex
 solves of `polyhedra`, and it shares its integer pivot with the simplex.
+`record` makes the frozen value classes of every module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -114,9 +115,10 @@ def integer_vector(v) -> tuple:
 
     Integral Fractions are accepted.
     """
-    out = tuple(int(x) for x in v)
-    if out != tuple(v):
-        raise ValueError(f"non-integer entry in {tuple(v)}")
+    v = tuple(v)
+    out = tuple(map(int, v))
+    if out != v:
+        raise ValueError(f"non-integer entry in {v}")
     return out
 
 
@@ -361,6 +363,120 @@ def lll_reduce_with_transform(basis, delta: Fraction = Fraction(3, 4)) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# frozen records: the library's value classes
+
+class uncompared:
+    """The default of a record field that ==, hash and the repr leave
+    out."""
+    __slots__ = ("default",)
+
+    def __init__(self, default):
+        self.default = default
+
+
+def record(cls):
+    """Make cls a frozen record of its annotated fields.
+
+    The methods match those of dataclass(frozen=True) but are closures,
+    not generated source.  __init__ takes the fields in order,
+    positionally or by keyword, fills in defaults and calls
+    __post_init__ if cls has one; __post_init__ normalizes a field
+    with object.__setattr__.  == holds between instances of the same
+    class with equal compared fields, hash is the hash of the tuple of
+    those fields, and the repr is ``Name(field=value, ...)``.  A field
+    whose default is wrapped in `uncompared` is left out of ==, hash
+    and the repr.  Fields cannot be assigned or deleted.
+    """
+    params = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults, hidden = {}, set()
+    for name in params:
+        if name in cls.__dict__:
+            default = cls.__dict__[name]
+            if isinstance(default, uncompared):
+                hidden.add(name)
+                default = default.default
+                setattr(cls, name, default)
+            defaults[name] = default
+    arity = len(params)
+    # object.__setattr__ keeps the fields in the instance's inline values;
+    # filling __dict__ instead would make every later field read slower
+    set_field = object.__setattr__
+    post_init = getattr(cls, "__post_init__", None)
+    compared = tuple(n for n in params if n not in hidden)
+    if len(compared) == 1:
+        get = operator.attrgetter(compared[0])
+
+        def key(self):
+            return (get(self),)
+    else:
+        key = operator.attrgetter(*compared)
+
+    def bind(self, args, kwargs):
+        """Set the fields from positional arguments, then keywords, then
+        defaults."""
+        given = len(args)
+        if given > arity:
+            raise TypeError(f"{cls.__name__}() takes {arity} arguments, "
+                            f"{given} given")
+        i = used = 0
+        for name in params:
+            if i < given:
+                value = args[i]
+            elif name in kwargs:
+                value = kwargs[name]
+                used += 1
+            elif name in defaults:
+                value = defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument "
+                                f"{name!r}")
+            set_field(self, name, value)
+            i += 1
+        if used != len(kwargs):
+            stray = next(k for k in kwargs if k not in params[given:])
+            raise TypeError(f"{cls.__name__}() got an unexpected or "
+                            f"repeated argument {stray!r}")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            bind(self, args, kwargs)
+        else:
+            # one argument per field, the common call; indexing args is
+            # faster here than zip
+            i = 0
+            for name in params:
+                set_field(self, name, args[i])
+                i += 1
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{n}={getattr(self, n)!r}" for n in compared)
+                + ")")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__,
+                   __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # linear programming (exact fraction-free two-phase simplex, Bland's rule)
 
 class LPError(Exception):
@@ -370,7 +486,7 @@ class LPError(Exception):
 _FLIP = {"<=": ">=", "=": "=", ">=": "<="}
 
 
-@dataclass(frozen=True)
+@record
 class LPProblem:
     """max (or min) c.x subject to rows A x {<=,=,>=} b and optional bounds.
 
@@ -410,7 +526,7 @@ class LPProblem:
                 raise LPError(f"unknown sense {sense!r}")
 
 
-@dataclass(frozen=True)
+@record
 class LPResult:
     """status is 'optimal', 'infeasible' or 'unbounded'.
 

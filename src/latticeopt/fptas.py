@@ -18,7 +18,6 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,6 +26,7 @@ from .core import (
     kth_root_ceil_rational,
     kth_root_floor_rational,
     rat,
+    record,
 )
 from .genfunc import (
     GeneratingFunction,
@@ -54,7 +54,7 @@ def _canon_monomials(dimension, monomials):
     return tuple((c, e) for e, c in sorted(acc.items()) if c != 0)
 
 
-@dataclass(frozen=True)
+@record
 class SparsePolynomial:
     dimension: int
     monomials: tuple[tuple[Fraction, IntVec], ...]
@@ -90,7 +90,7 @@ class SparsePolynomial:
 # ---------------------------------------------------------------------------
 # bounds
 
-@dataclass(frozen=True)
+@record
 class BoundsReport:
     k: int
     L_k: int
@@ -243,7 +243,7 @@ def _recover(P: Polyhedron, box: tuple, f: SparsePolynomial,
 # ---------------------------------------------------------------------------
 # maximization
 
-@dataclass(frozen=True)
+@record
 class MaximizeReport:
     value: Fraction
     guarantee: str                 # "relative", "shifted-range", "exact"

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -34,6 +33,7 @@ from .core import (
     dot,
     kernel_basis,
     lll_reduce_with_transform,
+    record,
     scaled_inverse,
     solve_integer,
 )
@@ -62,7 +62,7 @@ def _canon_numerator(num: Iterable[tuple]) -> tuple[Monomial, ...]:
     return tuple((c, a) for a, c in sorted(acc.items()) if c != 0)
 
 
-@dataclass(frozen=True)
+@record
 class GFTerm:
     """One summand sign * numerator / prod_j (1 - z^(b_j))^(m_j)."""
 
@@ -85,7 +85,7 @@ class GFTerm:
         object.__setattr__(self, "denominator", tuple(sorted(den)))
 
 
-@dataclass(frozen=True)
+@record
 class GeneratingFunction:
     dimension: int
     terms: tuple[GFTerm, ...]

@@ -18,12 +18,11 @@ form the basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import (integer_vector, kernel_basis, mat_vec, vadd, vneg, vscale,
-                   vsub)
+from .core import (integer_vector, kernel_basis, mat_vec, record,
+                   vadd, vneg, vscale, vsub)
 
 IntVec = tuple[int, ...]
 IntMatrix = tuple[IntVec, ...]
@@ -68,7 +67,7 @@ def _normal_form(r: IntVec, G: Sequence[IntVec]) -> IntVec:
 # ---------------------------------------------------------------------------
 # Graver basis
 
-@dataclass(frozen=True)
+@record
 class GraverBasis:
     """Canonical-sign representatives; both orientations belong logically."""
     matrix: IntMatrix
@@ -155,7 +154,7 @@ def graver_basis(A) -> GraverBasis:
 # ---------------------------------------------------------------------------
 # n-fold structure
 
-@dataclass(frozen=True)
+@record
 class NFoldSpec:
     """n copies of the column block [A1 / A2]: A1 rows sum across copies,
     A2 rows constrain each copy separately."""
@@ -200,7 +199,7 @@ def nfold_matrix(spec: NFoldSpec) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # separable convex objectives
 
-@dataclass(frozen=True)
+@record
 class Square:
     """m -> (m - c)^2, convex by construction."""
     c: Fraction
@@ -212,7 +211,7 @@ class Square:
         return (Fraction(m) - self.c) ** 2
 
 
-@dataclass(frozen=True)
+@record
 class Abs:
     """m -> |m - c|, convex by construction."""
     c: Fraction
@@ -224,7 +223,7 @@ class Abs:
         return abs(Fraction(m) - self.c)
 
 
-@dataclass(frozen=True)
+@record
 class PiecewiseMax:
     """m -> max_j (a_j m + b_j) over (a_j, b_j) pieces; a maximum of
     affine functions is convex by construction."""
@@ -244,7 +243,7 @@ class PiecewiseMax:
 _CONVEX_BY_CONSTRUCTION = (Square, Abs, PiecewiseMax)
 
 
-@dataclass(frozen=True)
+@record
 class SeparableConvexFn:
     """Sum of per-coordinate convex functions, compared exactly.
 
@@ -261,8 +260,6 @@ class SeparableConvexFn:
     linear in the box width.
     """
     evaluators: tuple[Callable[[int], Fraction], ...]
-    _tables: tuple[dict, ...] = field(init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_tables",
@@ -386,7 +383,7 @@ def _best_step_along(x, g, alpha_max, f):
     return lo
 
 
-@dataclass(frozen=True)
+@record
 class AugmentResult:
     x: IntVec
     steps: int
@@ -532,7 +529,7 @@ def fiber_maximum(A, b, l, u, w) -> Optional[tuple[int, IntVec]]:
     return best
 
 
-@dataclass(frozen=True)
+@record
 class NFoldResult:
     x: IntVec
     value: Fraction

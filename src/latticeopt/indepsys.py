@@ -25,12 +25,11 @@ divisible tuples, F(a)-best for pairs (F the Frobenius number), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Callable, Optional, Sequence
 
-from .core import dot
+from .core import dot, integer_vector, record
 
 IntVec = tuple[int, ...]
 
@@ -40,7 +39,7 @@ LeqFn = Callable[[int, int], bool]
 
 
 def _as_point(x, n: int) -> IntVec:
-    pt = tuple(int(v) for v in x)
+    pt = integer_vector(x)
     if len(pt) != n:
         raise ValueError(f"expected a 0/1 vector of length {n}")
     if any(v not in (0, 1) for v in pt):
@@ -51,14 +50,14 @@ def _as_point(x, n: int) -> IntVec:
 # ---------------------------------------------------------------------------
 # weight data
 
-@dataclass(frozen=True)
+@record
 class PrimitiveTuple:
     """Distinct positive integers whose greatest common divisor is 1."""
 
     values: IntVec
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+        vals = integer_vector(self.values)
         if not vals:
             raise ValueError("tuple must be nonempty")
         if any(v < 1 for v in vals):
@@ -90,7 +89,7 @@ def _as_primitive(a) -> PrimitiveTuple:
     return a if isinstance(a, PrimitiveTuple) else PrimitiveTuple(tuple(a))
 
 
-@dataclass(frozen=True)
+@record
 class WeightProfile:
     """Weight vector with entries from a primitive tuple, split into classes.
 
@@ -104,7 +103,7 @@ class WeightProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_primitive(self.a))
-        w = tuple(int(v) for v in self.weights)
+        w = integer_vector(self.weights)
         if not w:
             raise ValueError("weight vector must be nonempty")
         allowed = set(self.a.values)
@@ -147,9 +146,10 @@ class IndependenceSystem:
     """
 
     def __init__(self, n: int, oracle: LinearOracle):
-        if int(n) < 1:
+        (n,) = integer_vector((n,))
+        if n < 1:
             raise ValueError("dimension must be positive")
-        self.n = int(n)
+        self.n = n
         self._oracle = oracle
         self._members: Optional[frozenset] = None
         self._generators: Optional[tuple[IntVec, ...]] = None
@@ -162,7 +162,7 @@ class IndependenceSystem:
         member; repeated drops reach every x <= y, so the check is
         complete, not sampled.
         """
-        fam = {tuple(int(v) for v in x) for x in members}
+        fam = {integer_vector(x) for x in members}
         if not fam:
             raise ValueError("independence system must be nonempty")
         if len({len(x) for x in fam}) != 1:
@@ -187,7 +187,7 @@ class IndependenceSystem:
     @classmethod
     def from_generators(cls, n: int, generators) -> "IndependenceSystem":
         """Down-closure of the given maximal elements."""
-        dim = int(n)
+        (dim,) = integer_vector((n,))
         gens = tuple(_as_point(g, dim) for g in generators)
         if not gens:
             raise ValueError("at least one generator is required")
@@ -207,7 +207,7 @@ class IndependenceSystem:
         return system
 
     def maximize(self, c) -> IntVec:
-        cost = tuple(int(v) for v in c)
+        cost = integer_vector(c)
         if len(cost) != self.n:
             raise ValueError("cost vector has wrong length")
         return _as_point(self._oracle(cost), self.n)
@@ -253,13 +253,15 @@ def frobenius(a) -> int:
 
     Returns 0 when every positive integer is representable, which for a
     primitive tuple happens exactly when 1 is an entry.  Pairs are
-    answered by the closed form a1*a2 - a1 - a2 and cross-checked
-    against the table.
+    answered by Sylvester's closed form a1*a2 - a1 - a2, longer tuples
+    by a representability table.
     """
     prim = _as_primitive(a)
     vals = sorted(prim.values)
     if vals[0] == 1:
         return 0
+    if len(vals) == 2:
+        return vals[0] * vals[1] - vals[0] - vals[1]
     bound = vals[0] * vals[-1]
     while True:
         table = _representable(vals, bound)
@@ -268,13 +270,7 @@ def frobenius(a) -> int:
         if all(table[bound - vals[0] + 1:]):
             break
         bound *= 2
-    frob = max(i for i in range(bound + 1) if not table[i])
-    if len(vals) == 2:
-        closed = vals[0] * vals[1] - vals[0] - vals[1]
-        if closed != frob:
-            raise RuntimeError("closed form disagrees with the table")
-        return closed
-    return frob
+    return max(i for i in range(bound + 1) if not table[i])
 
 
 def r_bound(a) -> int:
@@ -332,7 +328,7 @@ def min_below(xbar, profile: WeightProfile, f: Optional[ValueFn] = None, *,
     return tuple(x)
 
 
-@dataclass(frozen=True)
+@record
 class StrategyReport:
     """Everything one oracle call certifies about the strategy's run.
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -40,6 +39,7 @@ from .core import (
     null_vector,
     primitive,
     rational_rank,
+    record,
     scaled_inverse,
     solve_lp,
     transpose,
@@ -55,7 +55,7 @@ class UnboundedError(ValueError):
     """The polyhedron has a recession ray."""
 
 
-@dataclass(frozen=True)
+@record
 class Polyhedron:
     """{x : A x <= b} with rational data.
 
@@ -165,13 +165,13 @@ def box_polyhedron(lo: Sequence, hi: Sequence) -> Polyhedron:
     return Polyhedron(tuple(rows), tuple(rhs))
 
 
-@dataclass(frozen=True)
+@record
 class Vertex:
     point: tuple
     tight_rows: frozenset
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """apex + cone(rays); rays are primitive integer vectors."""
     apex: tuple
@@ -184,7 +184,7 @@ class Cone:
                            tuple(integer_vector(r) for r in self.rays))
 
 
-@dataclass(frozen=True)
+@record
 class SimplicialCone:
     """apex + cone(generators) with linearly independent generators.
 

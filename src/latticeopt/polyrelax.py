@@ -25,7 +25,6 @@ without that point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -37,6 +36,7 @@ from .core import (
     lex_canonical,
     primitive,
     rational_rank,
+    record,
     solve_lp,
     vneg,
     vsub,
@@ -148,7 +148,7 @@ def _canonical_eq(a, beta):
 # ---------------------------------------------------------------------------
 # lifted polytopes
 
-@dataclass(frozen=True)
+@record
 class LiftedPolytope:
     """conv{(x, p(x)) : x in [l, u] integral} for one polynomial p.
 

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -227,6 +229,52 @@ def test_maximize_validates_shapes():
         IndependenceSystem(0, lambda c: ())
 
 
+# each public entry of the module, fed one entry `v`; its integer answer
+# when v is 2.  0/1 positions take v - 1, so 1/2 and 1.5 reach them as
+# -1/2 and 0.5, which truncation would read as 0.
+INTEGER_ENTRIES = {
+    "PrimitiveTuple": (lambda v: PrimitiveTuple((v, 3)).values, (2, 3)),
+    "WeightProfile": (lambda v: WeightProfile((2, 3), (v, 3)).weights,
+                      (2, 3)),
+    "IndependenceSystem n": (lambda v: IndependenceSystem(
+        v, lambda c: (1, 0)).maximize((1, 1)), (1, 0)),
+    "explicit": (lambda v: IndependenceSystem.explicit(
+        [(0, 0), (v - 1, 0)]).maximize((1, 1)), (1, 0)),
+    "from_generators n": (lambda v: IndependenceSystem.from_generators(
+        v, [(1, 0)]).maximize((1, 1)), (1, 0)),
+    "from_generators generator": (lambda v: IndependenceSystem
+                                  .from_generators(2, [(v - 1, 1)])
+                                  .maximize((1, 1)), (1, 1)),
+    "maximize": (lambda v: IndependenceSystem.from_generators(
+        2, [(1, 1)]).maximize((v, -1)), (1, 0)),
+    "oracle answer": (lambda v: IndependenceSystem(
+        2, lambda c: (v - 1, 0)).maximize((1, 1)), (1, 0)),
+    "weight": (lambda v: WeightProfile((2, 3), (2, 3)).weight((v - 1, 1)),
+               5),
+    "min_below": (lambda v: min_below((v - 1, 1), WeightProfile(
+        (2, 3), (2, 3)), lambda w: -w), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+def test_integer_input_is_checked_not_truncated(entry):
+    call, answer = INTEGER_ENTRIES[entry]
+    for v in (F(1, 2), 1.5):
+        with pytest.raises(ValueError, match="non-integer"):
+            call(v)
+    for v in (2, F(2), 2.0):
+        assert call(v) == answer
+
+
+def test_integer_input_may_be_a_one_shot_iterator():
+    # integer_vector reads its argument once, so generators are accepted
+    system = IndependenceSystem.from_generators(
+        2, [(x for x in (1, 0)), map(int, "01")])
+    assert system.maximize(x for x in (1, 2)) == (0, 1)
+    assert WeightProfile((2, 3), (2, 3)).weight(x for x in (1, 1)) == 5
+    assert PrimitiveTuple(x for x in (2, 3)).values == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # Frobenius numbers and the quality bound
 
@@ -249,7 +297,6 @@ def test_frobenius_rejects_non_primitive(bad):
 
 def test_frobenius_matches_independent_table():
     rng = random.Random(19)
-    from math import gcd
     seen = 0
     while seen < 20:
         p = rng.randint(2, 4)
@@ -258,6 +305,15 @@ def test_frobenius_matches_independent_table():
             continue
         seen += 1
         assert frobenius(vals) == brute_frobenius(vals, 2 * vals[0] * vals[-1])
+
+
+def test_frobenius_of_pairs_is_sylvesters_closed_form():
+    # frobenius answers pairs by a*b - a - b without a table; every
+    # primitive pair up to 13 against the saturating sums
+    for a, b in itertools.combinations(range(2, 14), 2):
+        if gcd(a, b) == 1:
+            assert frobenius((b, a)) == a * b - a - b \
+                == brute_frobenius((a, b), a * b)
 
 
 def test_r_bound_cases():

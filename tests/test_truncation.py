@@ -2,7 +2,8 @@
 
 `int(x)` truncates a non-integer x without a word, so integer data from
 a caller goes through `core.integer_vector`, which raises instead.  A
-stdlib ``ast`` scan lists every call of the builtin `int` by module and
+stdlib ``ast`` scan lists every call of the builtin `int`, and every
+call that is handed `int` itself as in ``map(int, v)``, by module and
 enclosing function (``Class.method`` for methods); a call anywhere else
 fails here, and so does a listed site that no longer calls `int`.
 """
@@ -37,29 +38,26 @@ ALLOWED = {
     ("genfunc.py", "GFTerm.__post_init__"),
     ("genfunc.py", "monomial_gf"),
     ("genfunc.py", "_monomials_of"),
-    ("indepsys.py", "_as_point"),
-    ("indepsys.py", "PrimitiveTuple.__post_init__"),
-    ("indepsys.py", "WeightProfile.__post_init__"),
-    ("indepsys.py", "IndependenceSystem.__init__"),
-    ("indepsys.py", "IndependenceSystem.explicit"),
-    ("indepsys.py", "IndependenceSystem.from_generators"),
-    ("indepsys.py", "IndependenceSystem.maximize"),
     ("polyrelax.py", "convex_hull_h"),
     ("polyrelax.py", "build_lifted"),
 }
 
 
+def _is_int(node):
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
 def _int_calls(tree):
-    """(enclosing function, line) for each call of the name `int`."""
+    """(enclosing function, line) for each call of the name `int` or
+    call with `int` among its arguments."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 yield from walk(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Name)
-                    and child.func.id == "int"):
+            if isinstance(child, ast.Call) and (
+                    _is_int(child.func) or any(map(_is_int, child.args))):
                 yield ".".join(scope), child.lineno
             yield from walk(child, scope)
 
